@@ -15,13 +15,18 @@ Subcommands:
 Every subcommand prints a single JSON object on stdout. Failures print
 {"error": <type name>, "message": <text>} on stderr and exit with code 2
 when the input lies outside the open cell of a requested factorization
-(DegenerateCell, DegeneratePairing) and code 1 for every other error.
+(DegenerateCell, DegeneratePairing) and code 1 for every other error,
+overflow included. Non-finite inputs (NaN or infinite matrix entries or
+spectral parameters) and non-finite c-function values are rejected with
+code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -184,6 +189,8 @@ def _parse_lambda(text: str) -> complex:
         nums = [float(s) for s in parts]
     except ValueError:
         raise ValueError(f"bad spectral parameter {text!r}") from None
+    if not all(math.isfinite(v) for v in nums):
+        raise ValueError(f"spectral parameter must be finite, got {text!r}")
     return complex(nums[0], nums[1] if len(nums) == 2 else 0.0)
 
 
@@ -197,6 +204,8 @@ def _load_matrix(path: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.size != 27 * 27:
         raise ValueError(f"expected 729 matrix entries, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr.reshape(27, 27)
 
 
@@ -224,6 +233,8 @@ def _cmd_cfunction(args) -> int:
         val = harmonic.c_gamma(la)
     else:
         val = harmonic.c_quadrature(la)
+    if not cmath.isfinite(val):
+        raise OverflowError(f"c-function at {args.lam} is not finite in double precision")
     out = {
         "lambda_alpha": [la.real, la.imag],
         "c": [val.real, val.imag],
@@ -339,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateCell, DegeneratePairing) as exc:
         _emit_error(exc)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         _emit_error(exc)
         return 1
 

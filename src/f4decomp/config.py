@@ -10,8 +10,11 @@ Two tolerances drive every pass/fail decision in the package:
 The environment variable F4DECOMP_TOL overrides the pair: it sets group_tol
 directly and member_tol to one tenth of it, preserving the default ratio.
 The variable is read at call time so tests can monkeypatch the environment.
+It must be a finite positive number: a NaN or infinite tolerance would turn
+every gate off, so it raises ValueError instead.
 """
 
+import math
 import os
 
 DEFAULT_GROUP_TOL = 1e-8
@@ -25,8 +28,8 @@ def group_tol() -> float:
     if raw is None:
         return DEFAULT_GROUP_TOL
     value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be positive, got {raw!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{ENV_VAR} must be finite and positive, got {raw!r}")
     return value
 
 

@@ -14,8 +14,10 @@ fixes E1, E2, E3 and F(3,1). The cell tests and the orbit classification on
 rays of the trace-zero negative cone are sign tests of pairings against
 E2 and against the reflected null vector h1(-1,1,0;0,0,-1).
 
-All factor records carry the max-abs reconstruction residual, and every
-factorization re-verifies its own output before returning it.
+All factor records carry the max-abs reconstruction residual. The factors
+are computed as plain matrices; each factorization gates its
+reconstruction and stabilizer checks on them and verifies the group
+elements it returns (k, k_eps, m) once, as GroupElements.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ from .jordan import (
 from .liegroup import (
     GroupElement,
     VerificationError,
+    _exp_A_matrix,
+    _exp_N_matrix,
+    _fixes,
     d4_rotate,
     exp_A,
     exp_N,
     identity,
     sigma,
-    stabilizer_check,
 )
 from .octonion import Octonion
 
@@ -165,17 +169,25 @@ def _pairing_rows() -> tuple[np.ndarray, np.ndarray]:
 _QMINUS_ROWS, _F3_ROWS = _pairing_rows()
 
 
-def _reconstruction_residual(parts: list[GroupElement], g: GroupElement) -> float:
-    prod = parts[0].mat
+def _reconstruction_residual(parts: list[np.ndarray], g: np.ndarray) -> float:
+    prod = parts[0]
     for part in parts[1:]:
-        prod = prod @ part.mat
-    return float(np.max(np.abs(prod - g.mat)))
+        prod = prod @ part
+    return float(np.max(np.abs(prod - g)))
 
 
-def _conditioning(g: GroupElement) -> float:
+def _conditioning(opnorm: float) -> float:
     # factor extraction amplifies rounding noise by powers of the operator
     # norm; internal gates scale accordingly while recorded residuals stay raw
-    return max(1.0, float(np.linalg.norm(g.mat, 2)) ** 2)
+    return max(1.0, opnorm**2)
+
+
+def _a_matrix(t: float) -> np.ndarray:
+    return _exp_A_matrix(3, t, 1.0)
+
+
+def _n_matrix(params: NParams) -> np.ndarray:
+    return _exp_N_matrix(1, params.x, params.p)
 
 
 def n_pair(X: JordanElement) -> NParams:
@@ -225,20 +237,33 @@ def _factor_t_n(X: JordanElement, sign: float) -> tuple[float, NParams]:
     return 0.5 * math.log(sign * pair), params
 
 
-def iwasawa(g: GroupElement) -> IwasawaFactors:
-    """Global factorization g = k a_t n with k fixing E1."""
-    X = JordanElement(np.linalg.solve(g.mat, E1.vec))
-    t, params = _factor_t_n(X, -1.0)
-    n = exp_N(1, params.x, params.p)
-    a = exp_A(3, t, 1.0)
-    k = g @ n.inv() @ a.inv()
-    gate = group_tol() * _conditioning(g)
-    if not stabilizer_check(k, [E1], tol=gate):
-        raise VerificationError("computed k-factor does not fix E1")
+def _kan(g: np.ndarray, opnorm: float, sign: float) -> tuple[np.ndarray, float, NParams, float]:
+    """g = k a_t n with k fixing E1 (sign -1) or E2 (sign +1), on plain
+    matrices: returns k unverified, t, the nilpotent parameters and the
+    reconstruction residual."""
+    fixed, factor = (E1, "k-factor") if sign < 0 else (E2, "k_eps-factor")
+    X = JordanElement(np.linalg.solve(g, fixed.vec))
+    t, params = _factor_t_n(X, sign)
+    n = _n_matrix(params)
+    a = _a_matrix(t)
+    k = g @ np.linalg.inv(n) @ np.linalg.inv(a)
+    gate = group_tol() * _conditioning(opnorm)
+    if not _fixes(k, [fixed], gate):
+        raise VerificationError(f"computed {factor} does not fix E{2 if sign > 0 else 1}")
     residual = _reconstruction_residual([k, a, n], g)
     if residual > gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
-    return IwasawaFactors(k=k, t=t, n=params, residual=residual)
+    return k, t, params, residual
+
+
+def _iwasawa(g: np.ndarray, opnorm: float) -> IwasawaFactors:
+    k, t, params, residual = _kan(g, opnorm, -1.0)
+    return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
+
+
+def iwasawa(g: GroupElement) -> IwasawaFactors:
+    """Global factorization g = k a_t n with k fixing E1."""
+    return _iwasawa(g.mat, g.opnorm)
 
 
 def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
@@ -255,17 +280,8 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
     try:
-        X = JordanElement(np.linalg.solve(g.mat, E2.vec))
-        t, params = _factor_t_n(X, 1.0)
-        n = exp_N(1, params.x, params.p)
-        a = exp_A(3, t, 1.0)
-        k_eps = g @ n.inv() @ a.inv()
-        gate = group_tol() * _conditioning(g)
-        if not stabilizer_check(k_eps, [E2], tol=gate):
-            raise VerificationError("computed k_eps-factor does not fix E2")
-        residual = _reconstruction_residual([k_eps, a, n], g)
-        if residual > gate:
-            raise VerificationError(f"reconstruction residual {residual:.3e}")
+        k, t, params, residual = _kan(g.mat, g.opnorm, 1.0)
+        k_eps = GroupElement(k)
     except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance
@@ -326,15 +342,15 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
     kprime = d4_rotate(2, Octonion(x2v / r), Octonion.one())
     c = closed_cell_rep()
-    h = c.inv() @ kprime @ g
-    f = iwasawa(h)
-    gate = group_tol() * _conditioning(g)
-    if not stabilizer_check(f.k, _M_TARGETS, tol=gate):
+    h = np.linalg.inv(c.mat) @ kprime.mat @ g.mat
+    f = _iwasawa(h, float(np.linalg.norm(h, 2)))
+    gate = group_tol() * _conditioning(g.opnorm)
+    if not _fixes(f.k.mat, _M_TARGETS, gate):
         raise VerificationError("closed-cell m-factor fails the M stabilizer check")
     k_eps = kprime.inv()
-    a = exp_A(3, f.t, 1.0)
-    n = exp_N(1, f.n.x, f.n.p)
-    residual = _reconstruction_residual([k_eps, c, f.k, a, n], g)
+    residual = _reconstruction_residual(
+        [k_eps.mat, c.mat, f.k.mat, _a_matrix(f.t), _n_matrix(f.n)], g.mat
+    )
     if residual > gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return MatsukiFactors(
@@ -374,26 +390,31 @@ def gauss(g: GroupElement) -> GaussFactors:
     z_params = NParams(zx, zp)
     t = 0.5 * math.log(0.25 * val)
     try:
-        z = exp_N(-1, zx, zp)
-        f = iwasawa(z.inv() @ g)
-        n = exp_N(1, f.n.x, f.n.p)
-        a = exp_A(3, t, 1.0)
+        z = _exp_N_matrix(-1, zx, zp)
+        z_inv = np.linalg.inv(z)
+        h = z_inv @ g.mat
+        # z^-1 g = m a_t n, so this k-factor is m computed in float64; it too
+        # must pass the group gate
+        f = _iwasawa(h, float(np.linalg.norm(h, 2)))
+        n = _n_matrix(f.n)
+        a = _a_matrix(t)
         # the nilpotent factors grow quartically in their parameters, so this
         # product cancels roughly |z|^2 of magnitude; accumulate in extended
         # precision (a no-op on platforms where longdouble aliases float64)
         m_prod = (
-            z.inv().mat.astype(np.longdouble)
+            z_inv.astype(np.longdouble)
             @ g.mat.astype(np.longdouble)
-            @ n.inv().mat.astype(np.longdouble)
-            @ a.inv().mat.astype(np.longdouble)
+            @ np.linalg.inv(n).astype(np.longdouble)
+            @ np.linalg.inv(a).astype(np.longdouble)
         )
-        m = GroupElement(np.asarray(m_prod, dtype=np.float64))
-        gate = group_tol() * _conditioning(g)
-        if not stabilizer_check(m, _M_TARGETS, tol=gate):
+        m = np.asarray(m_prod, dtype=np.float64)
+        gate = group_tol() * _conditioning(g.opnorm)
+        if not _fixes(m, _M_TARGETS, gate):
             raise VerificationError("m-factor fails the M stabilizer check")
-        residual = _reconstruction_residual([z, m, a, n], g)
+        residual = _reconstruction_residual([z, m, a, n], g.mat)
         if residual > gate:
             raise VerificationError(f"reconstruction residual {residual:.3e}")
+        m = GroupElement(m)
     except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance

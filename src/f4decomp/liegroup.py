@@ -20,13 +20,20 @@ Closed-form constructions:
   diagonal idempotents, constructed by a one-parameter rotation solve in
   the plane spanned by the source and target slot vectors.
 
-Everything constructed here is machine-verified: GroupElement checks the
-automorphism property on all basis pairs at construction, AlgebraElement
-checks the derivation property.
+Every GroupElement has passed `verify` under the gate
+group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
+property on all basis pairs and refuses non-finite matrices. Public
+functions return GroupElements; the private `_exp_A_matrix` and
+`_exp_N_matrix` builders return plain matrices, which the factorizations and
+the word evaluator multiply and invert unverified, wrapping only the
+matrices they return. `identity()` and `sigma(i)` are shared verified
+constants. AlgebraElement checks the derivation property unless built with
+check=False from already checked elements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,27 +167,28 @@ class AlgebraElement:
 
 
 class GroupElement:
-    """An automorphism of the algebra; verified at construction."""
+    """An automorphism of the algebra; verified at construction.
 
-    __slots__ = ("mat", "residual")
+    Keeps the automorphism residual and the operator 2-norm its gate used.
+    """
 
-    def __init__(self, mat, residual: float | None = None):
-        arr = np.asarray(mat, dtype=float)
-        if residual is None:
-            residual = verify(arr)
+    __slots__ = ("mat", "residual", "opnorm")
+
+    def __init__(self, mat):
+        arr = np.array(mat, dtype=float, order="C")
+        if not np.isfinite(arr).all():
+            raise VerificationError("matrix has non-finite entries")
+        residual = verify(arr)
+        opnorm = float(np.linalg.norm(arr, 2))
         # product check is quadratic in the matrix, so the acceptance gate
         # scales with the square of the operator norm
-        scale = max(1.0, float(np.linalg.norm(arr, 2)) ** 2)
-        if residual >= group_tol() * scale:
+        scale = max(1.0, opnorm**2)
+        if not residual < group_tol() * scale:
             raise VerificationError(f"automorphism residual {residual:.3e} too large")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.mat = arr
         self.residual = float(residual)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(np.eye(27))
+        self.opnorm = opnorm
 
     def apply(self, X: JordanElement) -> JordanElement:
         return JordanElement(self.mat @ X.vec)
@@ -195,8 +203,9 @@ class GroupElement:
         return f"GroupElement(residual={self.residual:.2e})"
 
 
+@functools.cache
 def identity() -> GroupElement:
-    return GroupElement.identity()
+    return GroupElement(np.eye(27))
 
 
 def _cyclic(i: int) -> tuple[int, int, int]:
@@ -213,13 +222,14 @@ def exp_A(i: int, t: float, a) -> GroupElement:
     Slot 1 acts by trigonometric rotation, slots 2 and 3 by hyperbolic
     boost. The direction must have unit norm; it is not normalized here.
     """
+    return GroupElement(_exp_A_matrix(i, t, a))
+
+
+def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
     av = _vec8(a)
     if abs(av @ av - 1.0) > 1e-12:
         raise ValueError(f"direction must be unit, got |a|^2 = {av @ av}")
-    return GroupElement(_exp_A_matrix(i, float(t), av))
-
-
-def _exp_A_matrix(i: int, t: float, av: np.ndarray) -> np.ndarray:
+    t = float(t)
     i0, i1, i2 = _cyclic(i)
     s0, s1, s2 = _SLOTS[i0], _SLOTS[i1], _SLOTS[i2]
     CL = _CONJ @ oct.left_mul_matrix(av)
@@ -280,25 +290,27 @@ def gen_A(i: int, a) -> AlgebraElement:
     return AlgebraElement(m)
 
 
+@functools.cache
+def _sigmas() -> dict[int, GroupElement]:
+    out = {}
+    for i in (1, 2, 3):
+        d = np.ones(27)
+        for j in range(3):
+            if j != i - 1:
+                d[_SLOTS[j]] = -1.0
+        out[i] = GroupElement(np.diag(d))
+    return out
+
+
 def sigma(i: int) -> GroupElement:
     """Diagonal involution negating the two octonion slots other than i."""
     if i not in (1, 2, 3):
         raise ValueError(f"slot index must be 1, 2 or 3, got {i}")
-    d = np.ones(27)
-    for j in range(3):
-        if j != i - 1:
-            d[_SLOTS[j]] = -1.0
-    return GroupElement(np.diag(d))
-
-
-_SIGMA1_MAT: np.ndarray | None = None
+    return _sigmas()[i]
 
 
 def _sigma1() -> np.ndarray:
-    global _SIGMA1_MAT
-    if _SIGMA1_MAT is None:
-        _SIGMA1_MAT = sigma(1).mat
-    return _SIGMA1_MAT
+    return sigma(1).mat
 
 
 # Nilpotent generators. The closed actions are polynomial on the adapted
@@ -382,6 +394,10 @@ def exp_N(level: int, x, p) -> GroupElement:
     element is the product of the two closed-form matrices; the negative
     level is the sigma(1)-conjugate of the positive one.
     """
+    return GroupElement(_exp_N_matrix(level, x, p))
+
+
+def _exp_N_matrix(level: int, x, p) -> np.ndarray:
     if level not in (1, -1):
         raise ValueError(f"level must be +1 or -1, got {level}")
     xv = _vec8(x)
@@ -390,7 +406,7 @@ def exp_N(level: int, x, p) -> GroupElement:
     if level == -1:
         s = _sigma1()
         m = s @ m @ s
-    return GroupElement(m)
+    return m
 
 
 def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
@@ -533,10 +549,12 @@ def stabilizer_check(
     g: GroupElement, targets: list[JordanElement], tol: float | None = None
 ) -> bool:
     """True iff g fixes every target within the group tolerance."""
-    if tol is None:
-        tol = group_tol()
+    return _fixes(g.mat, targets, group_tol() if tol is None else tol)
+
+
+def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:
     for t in targets:
-        if float(np.linalg.norm(g.mat @ t.vec - t.vec)) > tol * max(1.0, t.norm()):
+        if float(np.linalg.norm(mat @ t.vec - t.vec)) > tol * max(1.0, t.norm()):
             return False
     return True
 
@@ -565,7 +583,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     wn = float(np.linalg.norm(w))
     if wn < 1e-13:
         if gamma > 0:
-            return GroupElement.identity()
+            return identity()
         # antipodal: rotate by pi in any plane through u
         k = int(np.argmin(np.abs(uhat)))
         b = np.zeros(8)

@@ -4,12 +4,17 @@ Atoms name the slot boosts A1..A3, the nilpotent flows G1, G2, Gm1, Gm2,
 the diagonal reflections S1..S3, and the slot rotations D4. Words multiply
 left to right, powers repeat a factor and negative powers invert it. The
 printer emits a canonical form whose parse returns an equal tree.
+
+Evaluation multiplies and inverts the verified atom matrices as plain
+arrays and verifies the word's value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from . import liegroup as lg
 from .liegroup import GroupElement
@@ -259,6 +264,12 @@ def print_word(word: GroupWord) -> str:
 
 def eval_word(word: GroupWord) -> GroupElement:
     """Left-to-right product of the verified generator matrices."""
+    if isinstance(word, (Power, Product)):
+        return GroupElement(_eval_matrix(word))
+    return _eval_atom(word)
+
+
+def _eval_atom(word: GroupWord) -> GroupElement:
     if isinstance(word, AtomA):
         return lg.exp_A(word.i, word.t, word.a)
     if isinstance(word, AtomG):
@@ -270,18 +281,31 @@ def eval_word(word: GroupWord) -> GroupElement:
         return lg.sigma(word.i)
     if isinstance(word, AtomD4):
         return lg.d4_rotate(word.j, word.u, word.v)
+    raise TypeError(f"not a group word: {word!r}")
+
+
+def _eval_matrix(word: GroupWord) -> np.ndarray:
     if isinstance(word, Power):
         if word.n == 0:
-            return lg.identity()
-        base = eval_word(word.base)
-        step = base if word.n > 0 else base.inv()
-        out = step
-        for _ in range(abs(word.n) - 1):
-            out = out @ step
-        return out
+            return lg.identity().mat
+        base = _eval_matrix(word.base)
+        return _power(base if word.n > 0 else np.linalg.inv(base), abs(word.n))
     if isinstance(word, Product):
-        out = eval_word(word.factors[0])
+        out = _eval_matrix(word.factors[0])
         for f in word.factors[1:]:
-            out = out @ eval_word(f)
+            out = out @ _eval_matrix(f)
         return out
-    raise TypeError(f"not a group word: {word!r}")
+    return _eval_atom(word).mat
+
+
+def _power(m: np.ndarray, n: int) -> np.ndarray:
+    """m^n for n >= 1 by repeated squaring. For n <= 2 the products are
+    the left-to-right ones, so small powers keep their bits."""
+    out = None
+    while True:
+        if n & 1:
+            out = m if out is None else out @ m
+        n >>= 1
+        if not n:
+            return out
+        m = m @ m

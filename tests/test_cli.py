@@ -168,6 +168,37 @@ def test_verify_reports_large_residual(tmp_path, capsys):
     assert parse_out(out)["residual"] > 1e-3
 
 
+def test_overflow_is_a_json_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "--word", "A2(1000;1)")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_matrix(tmp_path, capsys, bad):
+    mat = np.eye(27)
+    mat[2, 2] = bad
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(list(mat.ravel())))
+    code, out, err = run_cli(capsys, "verify", "--matrix", str(path))
+    assert code == 1 and out == ""
+    assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "2,nan", "1,-inf"])
+def test_cfunction_rejects_non_finite_lambda(capsys, lam):
+    code, out, err = run_cli(capsys, "cfunction", "--lambda", lam)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_cfunction_refuses_non_finite_value(capsys):
+    # the Gamma ratio overflows to inf / inf far out on the real axis
+    code, out, err = run_cli(capsys, "cfunction", "--lambda", "300")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_verify_rejects_wrong_shape(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text("[1, 2, 3]")

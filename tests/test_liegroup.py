@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg
 
 from conftest import random_imag, random_oct, random_unit
+from f4decomp import decomp
 from f4decomp import liegroup as lg
 from f4decomp.jordan import E1, E2, E3, F, JordanElement, inner
 from f4decomp.octonion import Octonion
+from f4decomp.wordlang import eval_word, parse
 
 
 def test_identity():
@@ -132,6 +134,45 @@ def test_d4_rotate_rejects_unequal_norms(rng):
 def test_group_element_gates_garbage():
     with pytest.raises(lg.VerificationError):
         lg.GroupElement(np.eye(27) + 1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_group_element_rejects_non_finite(bad):
+    mat = np.eye(27)
+    mat[3, 4] = bad
+    with pytest.raises(lg.VerificationError):
+        lg.GroupElement(mat)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_tolerance_env_cannot_turn_gates_off(monkeypatch, raw):
+    monkeypatch.setenv("F4DECOMP_TOL", raw)
+    with pytest.raises(ValueError):
+        lg.GroupElement(2.0 * np.eye(27))
+
+
+def test_shared_constants_are_verified_and_read_only():
+    assert lg.identity() is lg.identity()
+    assert lg.sigma(2) is lg.sigma(2)
+    for g in (lg.identity(), lg.sigma(1), lg.sigma(3)):
+        assert g.residual == 0.0 and g.opnorm == 1.0
+        with pytest.raises(ValueError):
+            g.mat[0, 0] = 2.0
+
+
+def test_verify_runs_once_per_returned_element(monkeypatch):
+    calls = []
+    real = lg.verify
+    monkeypatch.setattr(lg, "verify", lambda m: calls.append(1) or real(m))
+    g = eval_word(parse("A3(0.3;1)*G1(0.2e1)*G2(0.1e3)*S1*A1(0.2;e2)"))
+    assert len(calls) == 5  # four non-constant atoms and the product
+    calls.clear()
+    decomp.iwasawa(g)
+    assert len(calls) == 1  # k only
+    a = lg.exp_A(3, 0.3, 1.0)
+    calls.clear()
+    decomp.keps_iwasawa(a)
+    assert len(calls) == 1  # k_eps only
 
 
 def test_inverse_and_apply(rng):

@@ -1,5 +1,7 @@
 """Tests for the group word language: parser, printer, evaluator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,27 @@ def test_no_normalization_of_directions():
     # near-unit is still rejected, the evaluator never normalizes silently
     with pytest.raises(ValueError):
         eval_word(parse("A1(0.5;1.001)"))
+
+
+@pytest.mark.parametrize("base", ["A3(0.3;1)*G1(0.2e1-0.1e5)", "D4(2,e1,e2)*Gm2(0.3e4)", "S2"])
+def test_small_powers_match_repeated_products(base):
+    g = eval_word(parse(base))
+    gi = g.inv()
+    expected = {1: g, 2: g @ g, -1: gi, -2: gi @ gi}
+    for n, want in expected.items():
+        got = eval_word(parse(f"({base})^{n}"))
+        assert np.array_equal(got.mat, want.mat)
+        assert got.residual == want.residual
+
+
+def test_large_power_by_squaring():
+    start = time.perf_counter()
+    g = eval_word(parse("S1^100000001"))
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(g.mat, lg.sigma(1).mat)
+
+
+def test_cube_matches_left_to_right_product():
+    d = eval_word(parse("D4(2,e1,e2)"))
+    cube = eval_word(parse("D4(2,e1,e2)^3"))
+    assert np.max(np.abs(cube.mat - (d @ d @ d).mat)) <= 1e-12
