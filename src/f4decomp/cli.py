@@ -250,6 +250,25 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _max_abs_dev(got, want) -> float | None:
+    """Largest absolute difference between the numbers of two records, or
+    None when their keys, lengths, types or non-numeric values differ."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        if got.keys() != want.keys():
+            return None
+        pairs = [(got[k], want[k]) for k in got]
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return None
+        pairs = list(zip(got, want))
+    elif type(got) in (int, float) and type(want) in (int, float):
+        return abs(got - want)
+    else:
+        return 0.0 if type(got) is type(want) and got == want else None
+    devs = [_max_abs_dev(a, b) for a, b in pairs]
+    return None if None in devs else max(devs, default=0.0)
+
+
 def _cmd_selftest(args) -> int:
     path = Path(args.fixtures) if args.fixtures else _default_fixtures()
     if args.bless:
@@ -271,9 +290,12 @@ def _cmd_selftest(args) -> int:
         rec = json.loads(line)
         for op, expected in rec["expect"].items():
             checked += 1
-            got = _record_op(op, rec["word"])
+            got = json.loads(_canon(_record_op(op, rec["word"])))
             if _canon(got) != _canon(expected):
-                failures.append({"line": lineno, "op": op, "word": rec["word"]})
+                failures.append({
+                    "line": lineno, "op": op, "word": rec["word"],
+                    "max_abs_dev": _max_abs_dev(got, expected),
+                })
     out = {"fixtures": str(path), "checked": checked, "failed": len(failures)}
     if failures:
         out["failures"] = failures[:10]

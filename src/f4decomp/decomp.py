@@ -158,7 +158,7 @@ def closed_cell_rep() -> GroupElement:
 # rows turning a 27-vector Y into the pairing sums ((Q^-(e_i)|Y))_i and
 # ((F(3,e_i)|Y))_i without building elements in the loop
 def _pairing_rows() -> tuple[np.ndarray, np.ndarray]:
-    w = np.concatenate([np.ones(3), 2 * np.ones(8), -2 * np.ones(8), -2 * np.ones(8)])
+    w = jordan._WEIGHTS
     qminus = np.stack([w * jordan.Qminus(Octonion.unit(i)).vec for i in range(8)])
     f3 = np.stack([w * F(3, Octonion.unit(i)).vec for i in range(1, 8)])
     qminus.setflags(write=False)
@@ -360,8 +360,7 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
 def _bruhat_cell_value(g: GroupElement) -> tuple[float, float, np.ndarray]:
     Y = g.mat @ P_MINUS.vec
-    w = np.concatenate([np.ones(3), 2 * np.ones(8), -2 * np.ones(8), -2 * np.ones(8)])
-    val = float(Y @ (w * SIGMA_P_MINUS.vec))
+    val = float(Y @ (jordan._WEIGHTS * SIGMA_P_MINUS.vec))
     return val, member_tol() * float(np.linalg.norm(Y)), Y
 
 

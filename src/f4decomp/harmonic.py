@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as _cgamma
+from scipy.special import loggamma
 
 from . import liegroup as lg
 from .jordan import E1, E2, E3
@@ -123,36 +123,9 @@ def H_nbar(x: Octonion, p: Octonion, t: float = 0.0) -> float:
     return 0.5 * (-s + math.log((math.exp(s) + xx) ** 2 + 4.0 * pp))
 
 
-# The Killing form is bilinear in both slots, so it is determined by its
-# Gram matrix over the cached 52-element basis. Building the Gram matrix
-# costs 52 ad-matrices once; afterwards each pairing is two projections
-# and a quadratic form.
-
-@lru_cache(maxsize=1)
-def _killing_data() -> tuple[np.ndarray, np.ndarray]:
-    basis = lg.basis52()
-    flat = np.stack([b.mat.ravel() for b in basis])
-    pinv = np.linalg.pinv(flat.T)
-    ads = np.stack([lg.ad_matrix(b) for b in basis])
-    gram = np.einsum("iab,jba->ij", ads, ads)
-    return pinv, gram
-
-
-def _killing_pair(phi: AlgebraElement, psi: AlgebraElement) -> float:
-    pinv, gram = _killing_data()
-    cp = pinv @ phi.mat.ravel()
-    cq = pinv @ psi.mat.ravel()
-    return float(cp @ gram @ cq)
-
-
-@lru_cache(maxsize=1)
-def _sigma1_mat() -> np.ndarray:
-    return lg.sigma(1).mat
-
-
 def sigma_twist(phi: AlgebraElement) -> AlgebraElement:
     """Conjugate a derivation by the order-two reflection of the first slot."""
-    s = _sigma1_mat()
+    s = lg.sigma(1).mat
     return AlgebraElement(s @ phi.mat @ s, check=False)
 
 
@@ -165,15 +138,12 @@ def alpha_norm() -> float:
     length is the reciprocal of B(H, H).
     """
     h = lg.gen_A(3, Octonion.one())
-    return 1.0 / _killing_pair(h, h)
+    return 1.0 / lg.killing(h, h)
 
 
 def q_form(phi: AlgebraElement) -> float:
     """Root-normalized twisted Killing square of a derivation."""
-    return -alpha_norm() * _killing_pair(phi, sigma_twist(phi))
-
-
-_SLOT_SLICES = (slice(3, 11), slice(11, 19), slice(19, 27))
+    return -alpha_norm() * lg.killing(phi, sigma_twist(phi))
 
 
 def killing_structure(phi: AlgebraElement) -> float:
@@ -187,7 +157,7 @@ def killing_structure(phi: AlgebraElement) -> float:
     m = phi.mat
     images = (m @ E3.vec, m @ E1.vec, m @ E2.vec)
     total = 0.0
-    for img, sl in zip(images, _SLOT_SLICES):
+    for img, sl in zip(images, lg._SLOTS):
         d = m[sl, sl]
         a = img[sl]
         total += float(np.sum(d * d)) + 24.0 * float(a @ a)
@@ -208,7 +178,10 @@ def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     return complex(base) ** (la / 4.0)
 
 
-def _gamma_ratio(la: complex) -> complex:
+def _log_gamma_ratio(la: complex) -> complex:
+    # log of Gamma(la/2) Gamma((la+8)/4) / (Gamma((la+8)/2) Gamma((la+22)/4));
+    # the principal-branch log-Gamma of complex arguments keeps the sign of
+    # Gamma at negative real arguments in its imaginary part, a multiple of pi
     args = (
         la / 2.0,
         (la + M_ALPHA) / 4.0,
@@ -220,19 +193,22 @@ def _gamma_ratio(la: complex) -> complex:
             nearest = round(z.real)
             if nearest <= 0 and abs(z.real - nearest) < 1e-9:
                 raise PoleError(f"gamma argument {z.real:g} is a non-positive integer")
-    num = complex(_cgamma(args[0])) * complex(_cgamma(args[1]))
-    den = complex(_cgamma(args[2])) * complex(_cgamma(args[3]))
-    return num / den
+    num0, num1, den0, den1 = (complex(loggamma(z)) for z in args)
+    return (num0 + num1) - (den0 + den1)
 
 
-@lru_cache(maxsize=1)
-def _gamma_ratio_rho() -> complex:
-    return _gamma_ratio(complex(RHO_ALPHA))
+_LOG_GAMMA_RATIO_RHO = _log_gamma_ratio(complex(RHO_ALPHA))
 
 
 def c_gamma(lam) -> complex:
-    """c-function by the Gamma-ratio route, normalized to 1 at the half-sum."""
-    return _gamma_ratio(_lam_alpha(lam)) / _gamma_ratio_rho()
+    """c-function by the Gamma-ratio route, normalized to 1 at the half-sum.
+
+    The ratio is formed in log space, so it stays finite where the Gammas
+    themselves overflow; at real lambda the value is real.
+    """
+    la = _lam_alpha(lam)
+    val = cmath.exp(_log_gamma_ratio(la) - _LOG_GAMMA_RATIO_RHO)
+    return complex(val.real) if la.imag == 0.0 else val
 
 
 def _cpow(base: float, expo: complex) -> complex:

@@ -49,7 +49,6 @@ __all__ = [
     "cross_square",
     "cross",
     "det",
-    "det_cubic",
     "jordan_mul",
     "mul_tensor",
     "CoordView",
@@ -130,25 +129,12 @@ class JordanElement:
         return f"h1({self.vec[0]:.6g}, {self.vec[1]:.6g}, {self.vec[2]:.6g}; {xs})"
 
 
-def _slot_coeffs(x) -> np.ndarray:
-    if isinstance(x, Octonion):
-        return x.coeffs
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        v = np.zeros(8)
-        v[0] = float(x)
-        return v
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (8,):
-        raise TypeError(f"cannot interpret {x!r} as an octonion slot")
-    return arr
-
-
 def h1(xi1: float, xi2: float, xi3: float, x1=0.0, x2=0.0, x3=0.0) -> JordanElement:
     vec = np.empty(27)
     vec[0], vec[1], vec[2] = float(xi1), float(xi2), float(xi3)
-    vec[3:11] = _slot_coeffs(x1)
-    vec[11:19] = _slot_coeffs(x2)
-    vec[19:27] = _slot_coeffs(x3)
+    vec[3:11] = oct._coerce(x1)
+    vec[11:19] = oct._coerce(x2)
+    vec[19:27] = oct._coerce(x3)
     return JordanElement(vec)
 
 
@@ -161,19 +147,19 @@ def diag_unit(i: int) -> JordanElement:
 def F(i: int, a) -> JordanElement:
     """Element with octonion a in slot i and everything else zero."""
     vec = np.zeros(27)
-    vec[3 + 8 * (i - 1) : 11 + 8 * (i - 1)] = _slot_coeffs(a)
+    vec[3 + 8 * (i - 1) : 11 + 8 * (i - 1)] = oct._coerce(a)
     return JordanElement(vec)
 
 
 def Qplus(x) -> JordanElement:
     """h1(0,0,0; x, conj(x), 0)."""
-    c = _slot_coeffs(x)
+    c = oct._coerce(x)
     return h1(0, 0, 0, c, oct.conj_vec(c), 0)
 
 
 def Qminus(x) -> JordanElement:
     """h1(0,0,0; x, -conj(x), 0)."""
-    c = _slot_coeffs(x)
+    c = oct._coerce(x)
     return h1(0, 0, 0, c, -oct.conj_vec(c), 0)
 
 
@@ -226,20 +212,6 @@ def cross(X: JordanElement, Y: JordanElement) -> JordanElement:
 def det(X: JordanElement) -> float:
     """Cubic norm via the adjoint pairing (X|X^x2)/3."""
     return inner(X, cross_square(X)) / 3.0
-
-
-def det_cubic(X: JordanElement) -> float:
-    """Cubic norm written out; must agree with det to rounding."""
-    xi1, xi2, xi3 = X.vec[:3]
-    x1, x2, x3 = X.vec[3:11], X.vec[11:19], X.vec[19:27]
-    triple = float(oct.mul_vec(oct.mul_vec(x1, x2), x3)[0])
-    return (
-        xi1 * xi2 * xi3
-        - 2.0 * triple
-        - xi1 * float(x1 @ x1)
-        + xi2 * float(x2 @ x2)
-        + xi3 * float(x3 @ x3)
-    )
 
 
 def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
@@ -396,8 +368,8 @@ def s15_from(x, y) -> JordanElement:
     """Point of the trace-zero negative cone attached to (x, y) on the
     15-sphere (x|x) + (y|y) = 1; returns the representative with
     (X|E1) = -1."""
-    xo = Octonion(_slot_coeffs(x))
-    yo = Octonion(_slot_coeffs(y))
+    xo = Octonion(oct._coerce(x))
+    yo = Octonion(oct._coerce(y))
     nx, ny = xo.norm_sq(), yo.norm_sq()
     if abs(nx + ny - 1.0) > 1e-12 * max(1.0, nx + ny):
         raise ValueError(f"(x|x)+(y|y) = {nx + ny}, need 1")

@@ -12,8 +12,8 @@ Closed-form constructions:
   3 boost (hyperbolic). exp_A(3, t, 1) is the standard split torus.
 * exp_N(level, x, p): the two-step nilpotent groups N^+ (level +1) and N^-
   (level -1), parameterized by an octonion x and an imaginary octonion p.
-  Built on the adapted basis of `jordan.coord_basis` where the action is
-  polynomial, then conjugated back to standard coordinates.
+  A quartic polynomial in the generator N = gen_G(1, x) + gen_G(2, p),
+  since N^5 = 0.
 * sigma(i): diagonal involutions flipping the two octonion slots other
   than i; sigma(1) represents the nontrivial restricted Weyl element.
 * d4_rotate: elements of the rank-four rotation subgroup fixing all three
@@ -42,7 +42,7 @@ import numpy as np
 from . import jordan
 from . import octonion as oct
 from .config import group_tol
-from .jordan import E1, E2, E3, E, F, JordanElement, P_MINUS, Qminus, Qplus
+from .jordan import E1, E3, E, F, JordanElement, P_MINUS, Qminus, Qplus
 
 __all__ = [
     "VerificationError",
@@ -80,19 +80,6 @@ class RotationError(RuntimeError):
 
 _SLOTS = (slice(3, 11), slice(11, 19), slice(19, 27))
 _CONJ = np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
-
-
-def _vec8(x) -> np.ndarray:
-    if isinstance(x, oct.Octonion):
-        return x.coeffs
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        v = np.zeros(8)
-        v[0] = float(x)
-        return v
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (8,):
-        raise TypeError(f"cannot interpret {x!r} as an octonion")
-    return arr
 
 
 def verify(mat: np.ndarray) -> float:
@@ -178,11 +165,17 @@ class GroupElement:
         arr = np.array(mat, dtype=float, order="C")
         if not np.isfinite(arr).all():
             raise VerificationError("matrix has non-finite entries")
-        residual = verify(arr)
-        opnorm = float(np.linalg.norm(arr, 2))
+        # entries near the float range overflow inside the check; that is
+        # reported as a failed gate, not as floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = verify(arr)
+            opnorm = float(np.linalg.norm(arr, 2))
         # product check is quadratic in the matrix, so the acceptance gate
         # scales with the square of the operator norm
-        scale = max(1.0, opnorm**2)
+        norm_sq = opnorm * opnorm
+        if not math.isfinite(norm_sq):
+            raise VerificationError(f"squared operator norm {norm_sq} is not finite")
+        scale = max(1.0, norm_sq)
         if not residual < group_tol() * scale:
             raise VerificationError(f"automorphism residual {residual:.3e} too large")
         arr.setflags(write=False)
@@ -226,7 +219,7 @@ def exp_A(i: int, t: float, a) -> GroupElement:
 
 
 def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
-    av = _vec8(a)
+    av = oct._coerce(a)
     if abs(av @ av - 1.0) > 1e-12:
         raise ValueError(f"direction must be unit, got |a|^2 = {av @ av}")
     t = float(t)
@@ -267,7 +260,7 @@ def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
 
 def gen_A(i: int, a) -> AlgebraElement:
     """Derivative at t = 0 of exp_A(i, t, a); defined for any a != 0."""
-    av = _vec8(a)
+    av = oct._coerce(a)
     if float(av @ av) == 0.0:
         raise ValueError("direction a must be nonzero")
     i0, i1, i2 = _cyclic(i)
@@ -313,8 +306,8 @@ def _sigma1() -> np.ndarray:
     return sigma(1).mat
 
 
-# Nilpotent generators. The closed actions are polynomial on the adapted
-# basis [ -E1+E2, P^-, E, E3, F(3,e1..e7), Qplus(e0..e7), Qminus(e0..e7) ];
+# Nilpotent generators. Their actions are linear on the adapted basis
+# [ -E1+E2, P^-, E, E3, F(3,e1..e7), Qplus(e0..e7), Qminus(e0..e7) ];
 # the matrix in standard coordinates is C(B^-1) where the columns of C are
 # the images of the adapted basis vectors.
 
@@ -326,73 +319,19 @@ def _cols_to_matrix(images: list[JordanElement]) -> np.ndarray:
 
 
 def _imO(p) -> np.ndarray:
-    pv = _vec8(p)
+    pv = oct._coerce(p)
     if abs(pv[0]) > 1e-12:
         raise ValueError(f"parameter must be imaginary, got re = {pv[0]}")
     return pv
 
 
-def _exp_G1_matrix(xv: np.ndarray) -> np.ndarray:
-    x = oct.Octonion(xv)
-    nx = x.norm_sq()
-    e_m3 = E - 3 * E3  # combination recurring in the level-1 action
-    images = [
-        (E2 - E1)
-        + Qminus(-1 * x)
-        - nx * e_m3
-        + Qplus(nx * x)
-        + 0.5 * nx * nx * P_MINUS,
-        P_MINUS.copy(),
-        E.copy(),
-        E3 + Qplus(x) + nx * P_MINUS,
-    ]
-    for j in range(1, 8):
-        q = oct.Octonion.unit(j)
-        images.append(F(3, q) + Qplus(-1 * (q * x)))
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        pair = oct.inner(xv, y.coeffs)
-        images.append(Qplus(y) + 2 * pair * P_MINUS)
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        pair = oct.inner(xv, y.coeffs)
-        imxy = (x * y.conj()).im()
-        images.append(
-            Qminus(y)
-            + 2 * pair * e_m3
-            + F(3, 2 * imxy)
-            + Qplus(-3 * pair * x - imxy * x)
-            - 2 * pair * nx * P_MINUS
-        )
-    return _cols_to_matrix(images)
-
-
-def _exp_G2_matrix(pv: np.ndarray) -> np.ndarray:
-    p = oct.Octonion(pv)
-    np_ = p.norm_sq()
-    images = [
-        (E2 - E1) + F(3, -2 * p) + 2 * np_ * P_MINUS,
-        P_MINUS.copy(),
-        E.copy(),
-        E3.copy(),
-    ]
-    for j in range(1, 8):
-        q = oct.Octonion.unit(j)
-        images.append(F(3, q) - 2 * oct.inner(pv, q.coeffs) * P_MINUS)
-    for j in range(8):
-        images.append(Qplus(oct.Octonion.unit(j)))
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        images.append(Qminus(y) + Qplus(-2 * (p * y)))
-    return _cols_to_matrix(images)
-
-
 def exp_N(level: int, x, p) -> GroupElement:
     """Nilpotent group element exp(G_l1(x) + G_l2(p)), level = +1 or -1.
 
-    p must be imaginary. The two parameter directions commute, so the
-    element is the product of the two closed-form matrices; the negative
-    level is the sigma(1)-conjugate of the positive one.
+    p must be imaginary. The generator N = G_l1(x) + G_l2(p) raises the
+    eigenvalue of the torus generator gen_A(3, 1), which runs over -2..2,
+    by one or two, so N^5 = 0 and the exponential is the quartic polynomial
+    in N; the negative level is the sigma(1)-conjugate of the positive one.
     """
     return GroupElement(_exp_N_matrix(level, x, p))
 
@@ -400,12 +339,17 @@ def exp_N(level: int, x, p) -> GroupElement:
 def _exp_N_matrix(level: int, x, p) -> np.ndarray:
     if level not in (1, -1):
         raise ValueError(f"level must be +1 or -1, got {level}")
-    xv = _vec8(x)
+    xv = oct._coerce(x)
     pv = _imO(p)
-    m = _exp_G2_matrix(pv) @ _exp_G1_matrix(xv)
+    gen = _gen_G2_matrix(pv) + _gen_G1_matrix(xv)
     if level == -1:
         s = _sigma1()
-        m = s @ m @ s
+        gen = s @ gen @ s
+    # Horner form of I + N + N^2/2 + N^3/6 + N^4/24
+    eye = np.eye(27)
+    m = eye + gen / 4
+    for k in (3, 2, 1):
+        m = eye + (gen / k) @ m
     return m
 
 
@@ -456,7 +400,7 @@ def gen_G(level: int, param) -> AlgebraElement:
         v = _imO(param)
         m = _gen_G2_matrix(v)
     else:
-        v = _vec8(param)
+        v = oct._coerce(param)
         m = _gen_G1_matrix(v)
     if level < 0:
         s = _sigma1()
@@ -502,12 +446,11 @@ def expm(phi: AlgebraElement) -> GroupElement:
 # the rank-four rotation subalgebra. SVD rank is checked loudly.
 
 _BASIS52_CACHE: list[AlgebraElement] | None = None
-_BASIS52_FLAT: np.ndarray | None = None
 _BASIS52_PINV: np.ndarray | None = None
 
 
 def basis52() -> list[AlgebraElement]:
-    global _BASIS52_CACHE, _BASIS52_FLAT, _BASIS52_PINV
+    global _BASIS52_CACHE, _BASIS52_PINV
     if _BASIS52_CACHE is None:
         out = []
         for i in (1, 2, 3):
@@ -523,7 +466,6 @@ def basis52() -> list[AlgebraElement]:
         if rank != 52:
             raise RuntimeError(f"derivation basis rank {rank}, expected 52")
         _BASIS52_CACHE = out
-        _BASIS52_FLAT = flat
         _BASIS52_PINV = np.linalg.pinv(flat.T)
     return _BASIS52_CACHE
 
@@ -541,8 +483,10 @@ def ad_matrix(phi: AlgebraElement) -> np.ndarray:
 
 
 def killing(phi: AlgebraElement, psi: AlgebraElement) -> float:
-    """Killing form trace(ad phi . ad psi) via structure constants."""
-    return float(np.tensordot(ad_matrix(phi), ad_matrix(psi).T, axes=2))
+    """Killing form trace(ad phi . ad psi), computed as 3 trace(phi psi):
+    the Dynkin index of the adjoint representation is three times that of
+    the 27-dimensional one."""
+    return 3.0 * float(np.einsum("ij,ji->", phi.mat, psi.mat))
 
 
 def stabilizer_check(
@@ -567,8 +511,8 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     [gen_A(j,a), gen_A(j,b)] kills every diagonal idempotent and acts on
     slot j as the plane rotation generator of span(a, b).
     """
-    uv = _vec8(u).copy()
-    vv = _vec8(v).copy()
+    uv = oct._coerce(u).copy()
+    vv = oct._coerce(v).copy()
     nu = float(np.linalg.norm(uv))
     nv = float(np.linalg.norm(vv))
     if nu <= 0 or nv <= 0:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def test_overflow_is_a_json_error(capsys):
     assert json.loads(err)["error"] == "OverflowError"
 
 
+@pytest.mark.parametrize("word", ["A3(200;1)", "A3(0.5;1)^100000000"])
+def test_gate_overflow_is_one_json_error(capsys, word):
+    # the automorphism check and the squared norm overflow for these
+    # matrices; the gate refuses them without floating-point warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eval", "--word", word)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "VerificationError"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_verify_rejects_non_finite_matrix(tmp_path, capsys, bad):
     mat = np.eye(27)
@@ -192,8 +206,8 @@ def test_cfunction_rejects_non_finite_lambda(capsys, lam):
     assert json.loads(err)["error"] == "ValueError"
 
 
-def test_cfunction_refuses_non_finite_value(capsys):
-    # the Gamma ratio overflows to inf / inf far out on the real axis
+def test_cfunction_refuses_non_finite_value(capsys, monkeypatch):
+    monkeypatch.setattr(cli.harmonic, "c_gamma", lambda la: complex("nan+nanj"))
     code, out, err = run_cli(capsys, "cfunction", "--lambda", "300")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "OverflowError"
@@ -231,6 +245,17 @@ def test_selftest_detects_drift(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
     assert code == 1
     assert parse_out(out)["failed"] == 1
+    assert parse_out(out)["failures"][0]["max_abs_dev"] is None
+    # the same record with one number perturbed reports its deviation
+    code, out, _ = run_cli(capsys, "iwasawa", "--word", "A3(0.5;1)")
+    expect = parse_out(out)
+    expect["t"] += 1e-3
+    rec = {"word": "A3(0.5;1)", "expect": {"iwasawa": expect}}
+    path.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
+    assert code == 1
+    (failure,) = parse_out(out)["failures"]
+    assert abs(failure["max_abs_dev"] - 1e-3) <= 1e-12
 
 
 def test_console_script_subprocess():

@@ -100,6 +100,24 @@ def test_c_gamma_exact_values():
         assert abs(got.imag) <= 1e-12 * want
 
 
+def _c_gamma_lgamma(la: float) -> float:
+    # real-axis reference from math.lgamma, every argument positive
+    def log_ratio(x):
+        return (math.lgamma(x / 2) + math.lgamma((x + 8) / 4)
+                - math.lgamma((x + 8) / 2) - math.lgamma((x + 22) / 4))
+    return math.exp(log_ratio(la) - log_ratio(22.0))
+
+
+@pytest.mark.parametrize("la", [250.0, 300.0, 1000.0])
+def test_c_gamma_large_real_lambda(la):
+    # the Gamma values themselves overflow here; their ratio does not
+    got = ha.c_gamma(la)
+    want = _c_gamma_lgamma(la)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
+    assert got.imag == 0.0
+
+
 def test_c_gamma_pole():
     with pytest.raises(ha.PoleError):
         ha.c_gamma(0.0)

@@ -78,6 +78,18 @@ def test_exp_N_nilpotent_generators(rng):
     p = random_imag(rng)
     gp = lg.gen_G(2, p).mat
     assert np.max(np.abs(np.linalg.matrix_power(gp, 3))) <= 1e-9 * max(1.0, p.norm() ** 3)
+    # the combined generator that exp_N exponentiates as a quartic
+    scale = max(1.0, x.norm() + p.norm()) ** 5
+    assert np.max(np.abs(np.linalg.matrix_power(gx + gp, 5))) <= 1e-9 * scale
+
+
+def test_exp_N_matches_expm(rng):
+    for level in (1, -1):
+        x, p = random_oct(rng), random_imag(rng)
+        direct = lg.exp_N(level, x, p)
+        gen = lg.gen_G(level, x).mat + lg.gen_G(2 * level, p).mat
+        series = scipy.linalg.expm(gen)
+        assert np.max(np.abs(direct.mat - series)) <= 1e-12 * max(1.0, np.max(np.abs(series)))
 
 
 def test_sigma_conjugation_swaps_levels(rng):
@@ -186,6 +198,18 @@ def test_inverse_and_apply(rng):
 def test_killing_anchor():
     H = lg.gen_A(3, Octonion.one())
     assert abs(lg.killing(H, H) - 72.0) <= 1e-6
+
+
+def test_killing_trace_matches_structure_constants(rng):
+    # trace(ad phi . ad psi) over the basis52 coordinates is independent of
+    # the 3 trace(phi psi) route that killing uses
+    basis = lg.basis52()
+    for _ in range(5):
+        c, d = rng.standard_normal((2, 52))
+        phi = lg.AlgebraElement(sum(ci * b.mat for ci, b in zip(c, basis)), check=False)
+        psi = lg.AlgebraElement(sum(di * b.mat for di, b in zip(d, basis)), check=False)
+        ad_route = float(np.tensordot(lg.ad_matrix(phi), lg.ad_matrix(psi).T, axes=2))
+        assert abs(lg.killing(phi, psi) - ad_route) <= 1e-12 * abs(ad_route)
 
 
 def test_basis52_rank():
