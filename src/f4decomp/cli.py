@@ -298,6 +298,9 @@ def _cmd_selftest(args) -> int:
                 })
     out = {"fixtures": str(path), "checked": checked, "failed": len(failures)}
     if failures:
+        # the listing stops at ten records; the largest deviation covers all
+        devs = [f["max_abs_dev"] for f in failures]
+        out["max_abs_dev"] = None if None in devs else max(devs)
         out["failures"] = failures[:10]
     print(_canon(out))
     return 0 if checked > 0 and not failures else 1

@@ -2,21 +2,21 @@
 
 Closed form for the radial logarithm of a lower-triangular nilpotent
 element, the Killing-form normalization of the restricted root, the
-quadratic form on the nilpotent levels, and the c-function and spherical
-function evaluated both by Gamma ratios and by adaptive quadrature.
+quadratic form on the nilpotent levels, the c-function both as a Gamma
+ratio and by an independent trapezoidal quadrature, and the spherical
+function as a Jacobi function: a hypergeometric series near the origin and
+its connection formula, whose coefficient is the c-function, beyond.
+Everything is plain numpy, including a complex log-Gamma.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import loggamma
 
 from . import liegroup as lg
 from .jordan import E1, E2, E3
@@ -55,7 +55,7 @@ class PoleError(ValueError):
 
 
 class NonConvergent(RuntimeError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """A quadrature or a series could not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -89,23 +89,22 @@ def _lam_alpha(lam) -> complex:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the adaptive quadratures.
+    """Controls for the c-function quadrature.
 
-    The improper radial integrals are compactified by u = tan(theta)
-    before paneling, so the integration box is [0, radius] with
-    radius = pi/2 and the truncation tail is exactly zero. max_panels
-    bounds the adaptive subdivisions per axis.
+    Each radial integral is taken over the whole line after u = e^s by the
+    trapezoid rule, halving the step until two sums agree to rel_tol.
+    max_panels caps the nodes of one integral; reaching it raises
+    NonConvergent.
     """
 
     rel_tol: float = 1e-6
-    max_panels: int = 200
-    radius: float = math.pi / 2
+    max_panels: int = 1 << 14
 
     def refined(self, factor: float = 10.0) -> "QuadratureSpec":
+        # a tighter tolerance never gets a smaller node budget
         return QuadratureSpec(
             rel_tol=self.rel_tol / factor,
-            max_panels=min(self.max_panels * 2, 1000),
-            radius=self.radius,
+            max_panels=max(self.max_panels, min(self.max_panels * 2, 1000)),
         )
 
 
@@ -178,26 +177,50 @@ def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     return complex(base) ** (la / 4.0)
 
 
-def _log_gamma_ratio(la: complex) -> complex:
-    # log of Gamma(la/2) Gamma((la+8)/4) / (Gamma((la+8)/2) Gamma((la+22)/4));
-    # the principal-branch log-Gamma of complex arguments keeps the sign of
-    # Gamma at negative real arguments in its imaginary part, a multiple of pi
-    args = (
-        la / 2.0,
-        (la + M_ALPHA) / 4.0,
-        (la + M_ALPHA) / 2.0,
-        (la + RHO_ALPHA) / 4.0,
-    )
-    for z in args:
-        if abs(z.imag) < 1e-12:
-            nearest = round(z.real)
-            if nearest <= 0 and abs(z.real - nearest) < 1e-9:
-                raise PoleError(f"gamma argument {z.real:g} is a non-positive integer")
-    num0, num1, den0, den1 = (complex(loggamma(z)) for z in args)
-    return (num0 + num1) - (den0 + den1)
+_EPS = float(np.finfo(float).eps)
+# Stirling coefficients B_2k / (2k (2k-1)), k = 1..8: below 1e-20 at |z| >= 15
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_STIRLING = np.array([b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1)])
+_STIRLING_POWERS = np.arange(1.0, 16.0, 2.0)
 
 
-_LOG_GAMMA_RATIO_RHO = _log_gamma_ratio(complex(RHO_ALPHA))
+def _loggamma(z) -> np.ndarray:
+    """log Gamma elementwise, up to an added multiple of 2 pi i (every caller
+    exponentiates it). Arguments with Re z < 1/2 are reflected, those with
+    |z| < 15 shifted up by 15, and the Stirling series finishes."""
+    z = np.asarray(z, dtype=complex)
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    small = np.abs(w) < 15.0
+    shift = np.log(np.prod(w[..., None] + np.arange(15.0), axis=-1))
+    w = np.where(small, w + 15.0, w)
+    series = (w[..., None] ** -_STIRLING_POWERS) @ _STIRLING
+    val = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series
+    val = np.where(small, val - shift, val)
+    if not reflect.any():
+        return val
+    # log sin(pi z) without overflow at large |Im z|: above the real axis
+    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}); below it, the conjugate
+    u = np.where(z.imag < 0.0, z.conjugate(), z)
+    log_sin = -1j * np.pi * u + np.log(0.5j) + np.log1p(-np.exp(2j * np.pi * u))
+    log_sin = np.where(z.imag < 0.0, log_sin.conjugate(), log_sin)
+    return np.where(reflect, math.log(math.pi) - log_sin - val, val)
+
+
+def _log_gamma_ratio(la) -> tuple[np.ndarray, np.ndarray]:
+    # log of Gamma(la/2) Gamma((la+8)/4) / (Gamma((la+8)/2) Gamma((la+22)/4))
+    # elementwise, and the summed size of the four logs; at negative real
+    # arguments the sign of Gamma sits in the imaginary part
+    args = np.stack([la / 2.0, (la + M_ALPHA) / 4.0, (la + M_ALPHA) / 2.0, (la + RHO_ALPHA) / 4.0])
+    nearest = np.round(args.real)
+    pole = (np.abs(args.imag) < 1e-12) & (nearest <= 0.0) & (np.abs(args.real - nearest) < 1e-9)
+    if pole.any():
+        raise PoleError(f"gamma argument {args.real[pole][0]:g} is a non-positive integer")
+    logs = _loggamma(args)
+    return logs[0] + logs[1] - logs[2] - logs[3], np.abs(logs).sum(axis=0)
+
+
+_LOG_GAMMA_RATIO_RHO = complex(_log_gamma_ratio(RHO_ALPHA)[0])
 
 
 def c_gamma(lam) -> complex:
@@ -207,56 +230,48 @@ def c_gamma(lam) -> complex:
     themselves overflow; at real lambda the value is real.
     """
     la = _lam_alpha(lam)
-    val = cmath.exp(_log_gamma_ratio(la) - _LOG_GAMMA_RATIO_RHO)
+    val = cmath.exp(complex(_log_gamma_ratio(la)[0]) - _LOG_GAMMA_RATIO_RHO)
     return complex(val.real) if la.imag == 0.0 else val
 
 
-def _cpow(base: float, expo: complex) -> complex:
-    # complex power of a positive real base
-    if base <= 0.0:
-        return 0.0 + 0.0j
-    if expo.imag == 0.0:
-        return complex(base**expo.real)
-    return cmath.exp(expo * math.log(base))
-
-
-def _quad_complex(f, spec: QuadratureSpec, is_real: bool) -> tuple[complex, float]:
-    # pure-relative QUADPACK stalls when a component integrand is nearly
-    # zero (e.g. the imaginary part of a real-valued case), so a coarse
-    # modulus pass sets an absolute floor for the component passes
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            if is_real:
-                floor = 0.0
-            else:
-                mass, _ = integrate.quad(
-                    lambda v: abs(f(v)), 0.0, spec.radius,
-                    epsabs=0.0, epsrel=1e-2, limit=spec.max_panels,
-                )
-                if mass == 0.0:
-                    return 0.0 + 0.0j, 0.0
-                floor = 0.1 * spec.rel_tol * mass
-            opts = {"epsabs": floor, "epsrel": spec.rel_tol, "limit": spec.max_panels}
-            re, err_re = integrate.quad(lambda v: f(v).real, 0.0, spec.radius, **opts)
-            if is_real:
-                return complex(re), err_re
-            im, err_im = integrate.quad(lambda v: f(v).imag, 0.0, spec.radius, **opts)
-        except integrate.IntegrationWarning as exc:
-            raise NonConvergent(f"quadrature did not reach tolerance: {exc}") from exc
-    return complex(re, im), err_re + err_im
+# the trapezoid range leaves out tails below 1e-17 of the integrand's peak
+_LOG_TAIL = math.log(1e-17)
 
 
 def _power_integral(k: int, q: complex, spec: QuadratureSpec) -> tuple[complex, float]:
-    # integral of u^k (1+u^2)^(-q) over [0, inf), compactified by u = tan(theta)
-    if 2.0 * q.real - k - 1.0 <= 0.0:
+    # integral of u^k (1+u^2)^(-q) over [0, inf), with u = e^s the integral over
+    # the line of f(s) = e^{alpha s} (1+e^{2s})^{-q}, alpha = k+1, whose modulus
+    # is at most min(e^{alpha s}, e^{-beta s}), beta = 2 Re q - alpha
+    alpha = k + 1.0
+    beta = 2.0 * q.real - alpha
+    if beta <= 0.0:
         raise ValueError("power integral diverges for this exponent")
+    # the modulus peaks at e^{2s} = alpha/beta
+    log_peak = 0.5 * alpha * math.log(alpha / beta) - q.real * math.log1p(alpha / beta)
+    lo = (log_peak + _LOG_TAIL) / alpha
+    hi = -(log_peak + _LOG_TAIL) / beta
+    tail = math.exp(log_peak + _LOG_TAIL) * (1.0 / alpha + 1.0 / beta)
+    # In the strip |Im s| < pi/4, |1+e^{2s}| >= 1 and |f| exceeds its modulus
+    # on the line by at most 2^{Re q/2} e^{pi |Im q|/2}; the trapezoid rule's
+    # error there falls like e^{-pi^2/(2h)} (Trefethen & Weideman 2014), which
+    # sets a first step meeting rel_tol. Each halving reuses the nodes.
+    growth = 0.5 * math.log(2.0) * q.real + 0.5 * math.pi * abs(q.imag)
+    h = math.pi**2 / (2.0 * (growth - math.log(0.5 * spec.rel_tol)))
+    n = math.ceil((hi - lo) / h)
 
-    def f(theta: float) -> complex:
-        s, c = math.sin(theta), math.cos(theta)
-        return (s**k) * _cpow(c, 2.0 * q - (k + 2.0))
+    def f(s: np.ndarray) -> np.ndarray:
+        return np.exp(alpha * s - q * np.logaddexp(0.0, 2.0 * s))
 
-    return _quad_complex(f, spec, is_real=(q.imag == 0.0))
+    total = h * np.sum(f(lo + h * np.arange(n + 1))) if n < spec.max_panels else math.nan
+    while 2 * n + 1 <= spec.max_panels:
+        fine = 0.5 * (total + h * np.sum(f(lo + h * (np.arange(n) + 0.5))))
+        diff = abs(fine - total)
+        if diff <= spec.rel_tol * abs(fine):
+            return complex(fine), diff + tail
+        total, h, n = fine, 0.5 * h, 2 * n
+    raise NonConvergent(
+        f"trapezoid sums did not agree to {spec.rel_tol:g} within {spec.max_panels} nodes"
+    )
 
 
 def c_quadrature_with_error(lam, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
@@ -288,91 +303,107 @@ def c_quadrature(lam, spec: QuadratureSpec | None = None) -> complex:
     return val
 
 
-_LOG128 = math.log(128.0)
+# every series term is a product of ratios of a few roundings each
+_ROUNDOFF = 8.0 * _EPS
+_MAX_TERMS = 1 << 17  # terms of all the series summed at once: 2 MB per array
+_CIRCLE = np.exp(2j * np.pi * np.arange(32) / 32)
 
 
-def _radial_point(theta: float, psi: float, a: complex, b: complex, e2t: float) -> complex:
-    # Radial integrand r^7 s^6 ((e^{2t}+r^2)^2+4s^2)^(-b) ((1+r^2)^2+4s^2)^(-a)
-    # after the substitution s = w (1+r^2)/2, which separates the two radial
-    # scales (the w profile peaks at O(1) uniformly in r), compactified by
-    # r = tan(theta), w = tan(psi) with both jacobians folded into the
-    # exponent. Evaluated fully in log space so extreme radii underflow to
-    # zero instead of overflowing.
-    r = math.tan(theta)
-    w = math.tan(psi)
-    if r <= 0.0 or w <= 0.0:
-        return 0.0 + 0.0j
-    r2 = r * r
-    w2 = w * w
-    log_flat_r = math.log1p(r2)
-    log_flat_w = math.log1p(w2)
-    log_shift = math.log((e2t + r2) ** 2 + w2 * (1.0 + r2) ** 2)
-    log_weight = 7.0 * math.log(r) + 6.0 * math.log(w) - _LOG128
-    return cmath.exp(
-        log_weight
-        + (8.0 - 2.0 * a) * log_flat_r
-        + (1.0 - a) * log_flat_w
-        - b * log_shift
-    )
+def _scaled_hyp2f1(expo, log_size, a, b, c, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(expo) 2F1(a, b; c; z) for 0 <= z < 1, elementwise, and a bound on
+    its error, given the size of the logs summed into expo.
+
+    The term count starts from z and the parameter sizes and doubles until
+    the remainder is below roundoff: for m >= n the ratio of consecutive
+    terms is at most rho = z (1 + |a-1|/(n+1)) (1 + |b-c|/(Re c + n)), so
+    the remainder is at most |last term| rho / (1 - rho).
+    """
+    a, b, c = (np.asarray(v, dtype=complex)[..., None] for v in (a, b, c))
+    n = math.ceil((40.0 + float(np.max(np.abs(a) + np.abs(b)))) / -math.log(z)) if z else 1
+    rows = np.broadcast(a, b, c).size
+    while n * rows <= _MAX_TERMS:
+        m = np.arange(n, dtype=float)
+        terms = np.cumprod(z * (a + m) * (b + m) / ((c + m) * (m + 1.0)), axis=-1)
+        mag = 1.0 + np.abs(terms).sum(axis=-1)
+        last = np.abs(terms[..., -1])
+        den = c.real[..., 0] + n
+        rho = z * (1.0 + np.abs(a - 1.0)[..., 0] / (n + 1.0)) * (
+            1.0 + np.abs(b - c)[..., 0] / np.where(den > 0.0, den, np.nan)
+        )
+        if np.all((rho < 1.0) & (last * rho <= _EPS * mag * (1.0 - rho))):
+            pref = np.exp(expo)
+            val = pref * (1.0 + terms.sum(axis=-1))
+            tail = last * rho / (1.0 - rho)
+            return val, np.abs(val) * _EPS * log_size + np.abs(pref) * (n * _ROUNDOFF * mag + tail)
+        n *= 2
+    raise NonConvergent(f"hypergeometric series needs more than {_MAX_TERMS // rows} terms")
 
 
-def _spherical_integral(
-    a: complex, b: complex, t: float, spec: QuadratureSpec
-) -> tuple[complex, float]:
-    e2t = math.exp(2.0 * t)
-    is_real = a.imag == 0.0 and b.imag == 0.0
-    box = [[0.0, spec.radius], [0.0, spec.radius]]
-
-    def point(psi: float, theta: float) -> complex:
-        return _radial_point(theta, psi, a, b, e2t)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            if is_real:
-                floor = 0.0
-            else:
-                mass, _ = integrate.nquad(
-                    lambda ps, th: abs(point(ps, th)), box,
-                    opts={"epsabs": 0.0, "epsrel": 1e-2, "limit": spec.max_panels},
-                )
-                if mass == 0.0:
-                    return 0.0 + 0.0j, 0.0
-                floor = 0.1 * spec.rel_tol * mass
-            opts = {"epsabs": floor, "epsrel": spec.rel_tol, "limit": spec.max_panels}
-            re, err_re = integrate.nquad(lambda ps, th: point(ps, th).real, box, opts=opts)
-            if is_real:
-                return complex(re), err_re
-            im, err_im = integrate.nquad(lambda ps, th: point(ps, th).imag, box, opts=opts)
-        except integrate.IntegrationWarning as exc:
-            raise NonConvergent(f"quadrature did not reach tolerance: {exc}") from exc
-    return complex(re, im), err_re + err_im
+def _spherical_connection(lams: np.ndarray, log_cosh: float) -> tuple[np.ndarray, np.ndarray]:
+    # phi_lambda = T(lambda) + T(-lambda) by the 1 - z connection formula,
+    # T(mu) = c_gamma(mu) 2^((mu-22)/2) cosh(t)^(-2b) 2F1(c-a, b; 1+b-a; sech^2 t)
+    # with a = (22+mu)/4, b = (22-mu)/4, c = 8. At mu/2 in Z the two terms
+    # have poles that cancel; callers keep away from them.
+    mu = np.concatenate([lams, -lams])
+    a = (RHO_ALPHA + mu) / 4.0
+    b = (RHO_ALPHA - mu) / 4.0
+    log_c, log_size = _log_gamma_ratio(mu)
+    log_pow = (mu - RHO_ALPHA) * math.log(2.0) / 2.0 - 2.0 * b * log_cosh
+    expo = log_c - _LOG_GAMMA_RATIO_RHO + log_pow
+    # the summed size of the logs in expo, plus 60 for the shifted Stirling sums
+    log_size += 60.0 + abs(_LOG_GAMMA_RATIO_RHO) + np.abs(mu - RHO_ALPHA) + np.abs(log_pow)
+    z = math.exp(-2.0 * log_cosh)
+    vals, errs = _scaled_hyp2f1(expo, log_size, M_ALPHA - a, b, 1.0 + b - a, z)
+    k = len(lams)
+    return vals[:k] + vals[k:], errs[:k] + errs[k:]
 
 
-@lru_cache(maxsize=8)
-def _spherical_norm(spec: QuadratureSpec) -> tuple[complex, float]:
-    return _spherical_integral(complex(RHO_ALPHA) / 2.0, 0.0 + 0.0j, 0.0, spec)
+def _spherical_circle(la: complex, center: float, log_cosh: float) -> tuple[complex, float]:
+    # phi is entire in lambda, so near a cancelling pole pair it is the
+    # Cauchy integral over the circle of radius 1 around the even integer,
+    # summed by the trapezoid rule on 32 nodes in barycentric form; the last
+    # two discrete Fourier coefficients estimate the first aliased term
+    vals, errs = _spherical_connection(center + _CIRCLE, log_cosh)
+    w = _CIRCLE / (center + _CIRCLE - la)
+    alias = (abs(vals @ _CIRCLE) + abs(vals @ _CIRCLE**2)) / len(_CIRCLE)
+    return w @ vals / w.sum(), np.abs(w) @ (errs + alias) / abs(w.sum())
 
 
-def spherical_with_error(
-    lam, t: float, spec: QuadratureSpec | None = None
-) -> tuple[complex, float]:
-    """Spherical function value plus its propagated error estimate."""
+# a value or a series past double range is refused below, without warnings
+@np.errstate(over="ignore", invalid="ignore")
+def spherical_with_error(lam, t: float) -> tuple[complex, float]:
+    """Spherical function value plus a bound on its error.
+
+    phi_lambda(t) = 2F1((22+lambda)/4, (22-lambda)/4; 8; -sinh^2 t), the
+    Jacobi-function form (Koornwinder 1984). Up to t = 2 (tanh^2 t <= 0.93)
+    it is summed as a power series in tanh^2 t, beyond as the connection
+    formula in sech^2 t < 0.071. The bound adds the roundoff of the summed
+    terms, the series remainder and the log-space error of the prefactor.
+    """
     la = _lam_alpha(lam)
-    if la.real < 0.0:
-        raise ValueError("spherical function needs Re(lambda_alpha) >= 0")
-    if spec is None:
-        spec = QuadratureSpec()
-    a = (complex(RHO_ALPHA) + la) / 4.0
-    b = (complex(RHO_ALPHA) - la) / 4.0
-    num, err_n = _spherical_integral(a, b, float(t), spec)
-    den, err_d = _spherical_norm(spec)
-    val = cmath.exp(2.0 * b * float(t)) * num / den
-    err = abs(val) * (err_n / abs(num) + err_d / abs(den))
-    return val, err
+    t = abs(float(t))
+    if not (cmath.isfinite(la) and math.isfinite(t) and la.real >= 0.0):
+        raise ValueError("spherical function needs finite t and lambda, Re(lambda_alpha) >= 0")
+    log_cosh = t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+    center = 2.0 * round(la.real / 2.0)
+    if t <= 2.0:
+        # Pfaff: cosh(t)^(-2a) 2F1(a, c-b; c; tanh^2 t), one sign throughout at real lambda
+        par = SpectralParam(la)
+        expo = -2.0 * par.a * log_cosh
+        val, err = _scaled_hyp2f1(
+            expo, abs(expo), par.a, M_ALPHA - par.b, M_ALPHA, math.tanh(t) ** 2
+        )
+    elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
+        val, err = _spherical_circle(la, center, log_cosh)
+    else:
+        val, err = _spherical_connection(np.array([la]), log_cosh)
+    val, err = complex(np.squeeze(val)), float(np.squeeze(err))
+    if not cmath.isfinite(val):
+        raise OverflowError(f"spherical function at lambda={la}, t={t} overflows")
+    return (complex(val.real) if la.imag == 0.0 else val), err
 
 
-def spherical(lam, t: float, spec: QuadratureSpec | None = None) -> complex:
+def spherical(lam, t: float) -> complex:
     """Spherical function at the radial point t, normalized to 1 at t = 0."""
-    val, _ = spherical_with_error(lam, t, spec)
+    val, _ = spherical_with_error(lam, t)
     return val

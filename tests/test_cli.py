@@ -134,6 +134,15 @@ def test_cfunction_quad_complex(capsys):
     assert abs(got - want) <= 1e-6 * abs(want)
 
 
+def test_cfunction_quad_near_imaginary_axis(capsys):
+    code, out, _ = run_cli(capsys, "cfunction", "--lambda", "0.5,5", "--method", "quad")
+    assert code == 0
+    from f4decomp.harmonic import c_gamma
+
+    want = c_gamma(0.5 + 5j)
+    assert abs(complex(*parse_out(out)["c"]) - want) <= 1e-10 * abs(want)
+
+
 def test_cfunction_pole_exits_1(capsys):
     code, _, err = run_cli(capsys, "cfunction", "--lambda", "0")
     assert code == 1
@@ -256,6 +265,22 @@ def test_selftest_detects_drift(tmp_path, capsys):
     assert code == 1
     (failure,) = parse_out(out)["failures"]
     assert abs(failure["max_abs_dev"] - 1e-3) <= 1e-12
+    # the top-level deviation covers every failing record, listed or not
+    far = dict(expect, t=expect["t"] + 1.0)
+    recs = [rec] * 11 + [{"word": "A3(0.5;1)", "expect": {"iwasawa": far}}]
+    path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+    code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
+    assert code == 1
+    report = parse_out(out)
+    assert (report["failed"], len(report["failures"])) == (12, 10)
+    assert abs(report["max_abs_dev"] - 1.001) <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, f4decomp; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_subprocess():

@@ -1,13 +1,15 @@
 """Tests for the radial spectral functions.
 
-The quadrature routes are checked against closed forms, against each other,
-and against a seeded Monte Carlo evaluation of the defining integral with
-delta-method error bars.
+The c-function quadrature is checked against the Gamma ratio, the
+spherical function against mpmath's hypergeometric function, against the
+c-function through its asymptotics, and against a seeded Monte Carlo
+evaluation of the defining integral with delta-method error bars.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -149,6 +151,20 @@ def test_c_quadrature_refinement_non_increasing():
     assert e2 <= e1
 
 
+@pytest.mark.parametrize("la", [0.5 + 5j, 0.25 + 1j, 0.25 + 12j, 0.5 + 4j, 0.5 + 6j])
+def test_c_quadrature_near_imaginary_axis(la):
+    # the tan-compactified quadrature raised NonConvergent at these points
+    want = ha.c_gamma(la)
+    got, err = ha.c_quadrature_with_error(la)
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert abs(got - want) <= err
+
+
+def test_c_quadrature_node_cap():
+    with pytest.raises(ha.NonConvergent):
+        ha.c_quadrature(0.5 + 5j, ha.QuadratureSpec(max_panels=50))
+
+
 def test_spectral_param():
     par = ha.SpectralParam(6.0)
     assert par.a + par.b == 11.0
@@ -171,11 +187,52 @@ def test_spherical_domain():
         ha.spherical(-2.0, 0.5)
 
 
-def test_spherical_refinement_consistent():
-    spec = ha.QuadratureSpec(rel_tol=1e-5)
-    v0 = ha.spherical(6.0, 0.8, spec)
-    v1 = ha.spherical(6.0, 0.8, spec.refined())
-    assert abs(v0 - v1) <= 1e-5 * abs(v1) + 1e-12
+def jacobi_reference(la, t):
+    """phi_la(t) = 2F1((22+la)/4, (22-la)/4; 8; -sinh^2 t) in mpmath."""
+    with mpmath.workdps(30):
+        la = mpmath.mpc(la)
+        z = -mpmath.sinh(mpmath.mpf(t)) ** 2
+        return complex(mpmath.hyp2f1((22 + la) / 4, (22 - la) / 4, 8, z))
+
+
+GRID_T = (0.0, 0.5, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0)
+GRID_LAMBDA = (
+    0.0, 2.0, 2.0 + 1e-7, 2.0 - 1e-7, 4.0, 6.0, 10.0, 22.0, 40.0,
+    4.0 + 2.0j, 2.0 + 8.0j, 0.25 + 12.0j, 22.0 + 8.0j,
+)
+
+
+@pytest.mark.parametrize("t", GRID_T)
+def test_spherical_matches_jacobi_form(t):
+    # error relative to phi_{Re la}(t), which bounds |phi_la(t)|; the
+    # reported error must bound the actual one
+    for la in GRID_LAMBDA:
+        got, err = ha.spherical_with_error(la, t)
+        want = jacobi_reference(la, t)
+        scale = abs(jacobi_reference(complex(la).real, t))
+        assert abs(got - want) <= 1e-10 * scale, (la, t)
+        assert abs(got - want) <= err, (la, t)
+        assert ha.spherical(la, 0.0) == 1.0
+    assert abs(ha.spherical(22.0, t) - 1.0) <= 1e-10
+
+
+def test_spherical_near_lambda_3_26_at_t_3():
+    # the 2-D quadrature missed its tolerance by 3.5e-6 in this window
+    for la in np.linspace(3.2585, 3.2615, 7):
+        want = jacobi_reference(la, 3.0)
+        assert abs(ha.spherical(la, 3.0) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("la", [2.0, 6.0, 10.0])
+def test_spherical_asymptotics_give_c_gamma(la):
+    # phi_la(t) e^{(22-la) t/2} -> c(la) as t grows
+    want = ha.c_gamma(la)
+    rel = [
+        abs(ha.spherical(la, t) * math.exp((22.0 - la) * t / 2.0) / want - 1.0)
+        for t in (6.0, 8.0)
+    ]
+    assert rel[1] < rel[0]
+    assert rel[1] <= 1e-4
 
 
 def mc_spherical(la, t, n=300_000, seed=23):
