@@ -229,10 +229,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cfunction(args) -> int:
     la = _parse_lambda(args.lam)
-    if args.method == "gamma":
-        val = harmonic.c_gamma(la)
-    else:
-        val = harmonic.c_quadrature(la)
+    # a value past double range is refused below, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.method == "gamma":
+            val = harmonic.c_gamma(la)
+        else:
+            val = harmonic.c_quadrature(la)
     if not cmath.isfinite(val):
         raise OverflowError(f"c-function at {args.lam} is not finite in double precision")
     out = {

@@ -105,9 +105,6 @@ class NParams(NamedTuple):
         return math.hypot(self.x.norm(), self.p.norm())
 
 
-NPARAMS_ZERO = NParams(Octonion.zero(), Octonion.zero())
-
-
 @dataclass(frozen=True)
 class IwasawaFactors:
     k: GroupElement  # fixes E1
@@ -186,10 +183,6 @@ def _a_matrix(t: float) -> np.ndarray:
     return _exp_A_matrix(3, t, 1.0)
 
 
-def _n_matrix(params: NParams) -> np.ndarray:
-    return _exp_N_matrix(1, params.x, params.p)
-
-
 def n_pair(X: JordanElement) -> NParams:
     """Nilpotent parameters normalizing X; defined when (P_MINUS|X) != 0.
 
@@ -237,14 +230,23 @@ def _factor_t_n(X: JordanElement, sign: float) -> tuple[float, NParams]:
     return 0.5 * math.log(sign * pair), params
 
 
-def _kan(g: np.ndarray, opnorm: float, sign: float) -> tuple[np.ndarray, float, NParams, float]:
+class _KAN(NamedTuple):
+    k: np.ndarray  # unverified
+    a: np.ndarray  # a_t
+    n: np.ndarray  # exp_N(+1, *params)
+    t: float
+    params: NParams
+    residual: float
+
+
+def _kan(g: np.ndarray, opnorm: float, sign: float) -> _KAN:
     """g = k a_t n with k fixing E1 (sign -1) or E2 (sign +1), on plain
-    matrices: returns k unverified, t, the nilpotent parameters and the
-    reconstruction residual."""
+    matrices: returns the three factor matrices as built, t, the nilpotent
+    parameters and the reconstruction residual."""
     fixed, factor = (E1, "k-factor") if sign < 0 else (E2, "k_eps-factor")
     X = JordanElement(np.linalg.solve(g, fixed.vec))
     t, params = _factor_t_n(X, sign)
-    n = _n_matrix(params)
+    n = _exp_N_matrix(1, params.x, params.p)
     a = _a_matrix(t)
     k = g @ np.linalg.inv(n) @ np.linalg.inv(a)
     gate = group_tol() * _conditioning(opnorm)
@@ -253,17 +255,13 @@ def _kan(g: np.ndarray, opnorm: float, sign: float) -> tuple[np.ndarray, float, 
     residual = _reconstruction_residual([k, a, n], g)
     if residual > gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
-    return k, t, params, residual
-
-
-def _iwasawa(g: np.ndarray, opnorm: float) -> IwasawaFactors:
-    k, t, params, residual = _kan(g, opnorm, -1.0)
-    return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
+    return _KAN(k, a, n, t, params, residual)
 
 
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1."""
-    return _iwasawa(g.mat, g.opnorm)
+    f = _kan(g.mat, g.opnorm, -1.0)
+    return IwasawaFactors(k=GroupElement(f.k), t=f.t, n=f.params, residual=f.residual)
 
 
 def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
@@ -280,15 +278,15 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
     try:
-        k, t, params, residual = _kan(g.mat, g.opnorm, 1.0)
-        k_eps = GroupElement(k)
+        f = _kan(g.mat, g.opnorm, 1.0)
+        k_eps = GroupElement(f.k)
     except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance
         raise DegenerateCell(
             f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {exc}"
         ) from exc
-    return KEpsFactors(k_eps=k_eps, t=t, n=params, residual=residual)
+    return KEpsFactors(k_eps=k_eps, t=f.t, n=f.params, residual=f.residual)
 
 
 _M_TARGETS = [E1, E2, E3, F(3, 1.0)]
@@ -343,18 +341,17 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     kprime = d4_rotate(2, Octonion(x2v / r), Octonion.one())
     c = closed_cell_rep()
     h = np.linalg.inv(c.mat) @ kprime.mat @ g.mat
-    f = _iwasawa(h, float(np.linalg.norm(h, 2)))
+    f = _kan(h, float(np.linalg.norm(h, 2)), -1.0)
+    m = GroupElement(f.k)
     gate = group_tol() * _conditioning(g.opnorm)
-    if not _fixes(f.k.mat, _M_TARGETS, gate):
+    if not _fixes(m.mat, _M_TARGETS, gate):
         raise VerificationError("closed-cell m-factor fails the M stabilizer check")
     k_eps = kprime.inv()
-    residual = _reconstruction_residual(
-        [k_eps.mat, c.mat, f.k.mat, _a_matrix(f.t), _n_matrix(f.n)], g.mat
-    )
+    residual = _reconstruction_residual([k_eps.mat, c.mat, m.mat, f.a, f.n], g.mat)
     if residual > gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return MatsukiFactors(
-        cell="Closed", k_eps=k_eps, w=True, m=f.k, t=f.t, n=f.n, residual=residual
+        cell="Closed", k_eps=k_eps, w=True, m=m, t=f.t, n=f.params, residual=residual
     )
 
 
@@ -394,8 +391,8 @@ def gauss(g: GroupElement) -> GaussFactors:
         h = z_inv @ g.mat
         # z^-1 g = m a_t n, so this k-factor is m computed in float64; it too
         # must pass the group gate
-        f = _iwasawa(h, float(np.linalg.norm(h, 2)))
-        n = _n_matrix(f.n)
+        f = _kan(h, float(np.linalg.norm(h, 2)), -1.0)
+        GroupElement(f.k)
         a = _a_matrix(t)
         # the nilpotent factors grow quartically in their parameters, so this
         # product cancels roughly |z|^2 of magnitude; accumulate in extended
@@ -403,14 +400,14 @@ def gauss(g: GroupElement) -> GaussFactors:
         m_prod = (
             z_inv.astype(np.longdouble)
             @ g.mat.astype(np.longdouble)
-            @ np.linalg.inv(n).astype(np.longdouble)
+            @ np.linalg.inv(f.n).astype(np.longdouble)
             @ np.linalg.inv(a).astype(np.longdouble)
         )
         m = np.asarray(m_prod, dtype=np.float64)
         gate = group_tol() * _conditioning(g.opnorm)
         if not _fixes(m, _M_TARGETS, gate):
             raise VerificationError("m-factor fails the M stabilizer check")
-        residual = _reconstruction_residual([z, m, a, n], g.mat)
+        residual = _reconstruction_residual([z, m, a, f.n], g.mat)
         if residual > gate:
             raise VerificationError(f"reconstruction residual {residual:.3e}")
         m = GroupElement(m)
@@ -420,7 +417,7 @@ def gauss(g: GroupElement) -> GaussFactors:
         raise DegenerateCell(
             f"(g P_MINUS|reflected) = {val:.3e} is too close to the cell boundary: {exc}"
         ) from exc
-    return GaussFactors(z=z_params, m=m, t=t, n=f.n, residual=residual)
+    return GaussFactors(z=z_params, m=m, t=t, n=f.params, residual=residual)
 
 
 def z_of_X(X: JordanElement) -> NParams:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -306,6 +307,7 @@ def c_quadrature(lam, spec: QuadratureSpec | None = None) -> complex:
 # every series term is a product of ratios of a few roundings each
 _ROUNDOFF = 8.0 * _EPS
 _MAX_TERMS = 1 << 17  # terms of all the series summed at once: 2 MB per array
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 _CIRCLE = np.exp(2j * np.pi * np.arange(32) / 32)
 
 
@@ -390,9 +392,19 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         # Pfaff: cosh(t)^(-2a) 2F1(a, c-b; c; tanh^2 t), one sign throughout at real lambda
         par = SpectralParam(la)
         expo = -2.0 * par.a * log_cosh
-        val, err = _scaled_hyp2f1(
-            expo, abs(expo), par.a, M_ALPHA - par.b, M_ALPHA, math.tanh(t) ** 2
-        )
+        z = math.tanh(t) ** 2
+        try:
+            val, err = _scaled_hyp2f1(expo, abs(expo), par.a, M_ALPHA - par.b, M_ALPHA, z)
+        except NonConvergent:
+            # at real lambda every term is positive, so phi is at least the
+            # prefactor times the largest term; past double range that is an
+            # overflow, not a slow series
+            if la.imag == 0.0:
+                a, b, m = par.a.real, M_ALPHA - par.b.real, np.arange(_MAX_TERMS, dtype=float)
+                log_terms = np.cumsum(np.log(z * (a + m) * (b + m) / ((M_ALPHA + m) * (m + 1.0))))
+                if expo.real + max(0.0, log_terms.max()) > _LOG_MAX_FLOAT:
+                    raise OverflowError(f"spherical function at lambda={la}, t={t} overflows") from None
+            raise
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:

@@ -18,17 +18,21 @@ Closed-form constructions:
   than i; sigma(1) represents the nontrivial restricted Weyl element.
 * d4_rotate: elements of the rank-four rotation subgroup fixing all three
   diagonal idempotents, constructed by a one-parameter rotation solve in
-  the plane spanned by the source and target slot vectors.
+  the plane spanned by the source and target slot vectors. Its generator
+  is the bracket of two raw slot generators, checked once as a derivation
+  by `expm`.
 
 Every GroupElement has passed `verify` under the gate
 group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
-property on all basis pairs and refuses non-finite matrices. Public
-functions return GroupElements; the private `_exp_A_matrix` and
-`_exp_N_matrix` builders return plain matrices, which the factorizations and
-the word evaluator multiply and invert unverified, wrapping only the
-matrices they return. `identity()` and `sigma(i)` are shared verified
-constants. AlgebraElement checks the derivation property unless built with
-check=False from already checked elements.
+property on all basis pairs and refuses non-finite matrices. `verify` and
+`derivation_residual` lay both sides of the product rule out as [k, (i,j)]
+and form them as plain matrix products on two cached layouts of
+`jordan.mul_tensor()`. Public functions return GroupElements; the private
+`_exp_A_matrix` and `_exp_N_matrix` builders return plain matrices, which
+the factorizations and the word evaluator multiply and invert unverified,
+wrapping only the matrices they return. `identity()` and `sigma(i)` are
+shared verified constants. AlgebraElement checks the derivation property
+unless built with check=False from already checked elements.
 """
 
 from __future__ import annotations
@@ -82,20 +86,29 @@ _SLOTS = (slice(3, 11), slice(11, 19), slice(19, 27))
 _CONJ = np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
+@functools.cache
+def _mul_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Two GEMM layouts of the product tensor J[i,j,k] = (b_i o b_j)_k:
+    Jc[l, (i,j)] = J[i,j,l] and Jk[(k,a), b] = J[a,b,k]."""
+    J = jordan.mul_tensor()
+    Jc = np.ascontiguousarray(J.reshape(729, 27).T)
+    Jk = np.ascontiguousarray(J.transpose(2, 0, 1).reshape(729, 27))
+    return Jc, Jk
+
+
 def verify(mat: np.ndarray) -> float:
     """Automorphism residual: max over basis pairs of
     |g(b_i o b_j) - g b_i o g b_j|, plus |gE - E|."""
     g = np.asarray(mat, dtype=float)
     if g.shape != (27, 27):
         raise ValueError(f"need a 27x27 matrix, got {g.shape}")
-    J = jordan.mul_tensor()
-    # left[i,j,k] = (g(b_i o b_j))_k
-    left = np.tensordot(J, g, axes=([2], [1]))
-    # right[i,j,k] = (g b_i o g b_j)_k
-    t1 = np.tensordot(J, g, axes=([0], [0]))  # (b, k, i)
-    right = np.tensordot(t1, g, axes=([0], [0]))  # (k, i, j)
-    diff = left - np.moveaxis(right, 0, 2)
-    pair_res = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
+    Jc, Jk = _mul_layouts()
+    # both sides laid out [k, (i,j)]: left = g(b_i o b_j), and right sums
+    # g[a,i] J[a,b,k] g[b,j] as one GEMM then 27 batched ones
+    left = g @ Jc
+    right = np.matmul(g.T, (Jk @ g).reshape(27, 27, 27)).reshape(27, 729)
+    diff = left - right
+    pair_res = float(np.sqrt(np.einsum("kc,kc->c", diff, diff)).max())
     unit_res = float(np.linalg.norm(g @ E.vec - E.vec))
     return pair_res + unit_res
 
@@ -105,12 +118,13 @@ def derivation_residual(mat: np.ndarray) -> float:
     D = np.asarray(mat, dtype=float)
     if D.shape != (27, 27):
         raise ValueError(f"need a 27x27 matrix, got {D.shape}")
-    J = jordan.mul_tensor()
-    left = np.tensordot(J, D, axes=([2], [1]))  # (i, j, k)
-    t1 = np.tensordot(J, D, axes=([0], [0]))  # (j, k, i)
-    t2 = np.tensordot(J, D, axes=([1], [0]))  # (i, k, j)
-    diff = left - np.moveaxis(t1, 2, 0) - np.moveaxis(t2, 2, 2).transpose(0, 2, 1)
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
+    Jc, _ = _mul_layouts()
+    left = (D @ Jc).reshape(27, 27, 27)  # [k, i, j]
+    # U[i,j,k] = (Db_i o b_j)_k; the product is commutative, so
+    # (b_i o Db_j)_k = U[j,i,k]
+    U = (D.T @ jordan.mul_tensor().reshape(27, 729)).reshape(27, 27, 27)
+    diff = left - U.transpose(2, 0, 1) - U.transpose(2, 1, 0)
+    return float(np.sqrt(np.einsum("kij,kij->ij", diff, diff)).max())
 
 
 class AlgebraElement:
@@ -263,6 +277,10 @@ def gen_A(i: int, a) -> AlgebraElement:
     av = oct._coerce(a)
     if float(av @ av) == 0.0:
         raise ValueError("direction a must be nonzero")
+    return AlgebraElement(_gen_A_matrix(i, av))
+
+
+def _gen_A_matrix(i: int, av: np.ndarray) -> np.ndarray:
     i0, i1, i2 = _cyclic(i)
     s0, s1, s2 = _SLOTS[i0], _SLOTS[i1], _SLOTS[i2]
     CL = _CONJ @ oct.left_mul_matrix(av)
@@ -280,7 +298,7 @@ def gen_A(i: int, a) -> AlgebraElement:
         eps = -1.0 if i == 2 else 1.0
         m[s1, s2] = eps * CR
         m[s2, s1] = eps * CL
-    return AlgebraElement(m)
+    return m
 
 
 @functools.cache
@@ -341,7 +359,13 @@ def _exp_N_matrix(level: int, x, p) -> np.ndarray:
         raise ValueError(f"level must be +1 or -1, got {level}")
     xv = oct._coerce(x)
     pv = _imO(p)
-    gen = _gen_G2_matrix(pv) + _gen_G1_matrix(xv)
+    # G2(p) + G1(x) without building a generator whose parameter is zero;
+    # a zero generator's matrix is all +0.0, so the sum starts from +0.0
+    gen = np.zeros((27, 27))
+    if pv.any():
+        gen = gen + _gen_G2_matrix(pv)
+    if xv.any():
+        gen = gen + _gen_G1_matrix(xv)
     if level == -1:
         s = _sigma1()
         gen = s @ gen @ s
@@ -538,13 +562,18 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     else:
         bhat = w / wn
         dlt = float(vhat @ bhat)
-    gen = bracket(gen_A(j, uhat), gen_A(j, bhat)) * 0.25
+    # the bracket of two derivations is one; expm checks it once
+    ga, gb = _gen_A_matrix(j, uhat), _gen_A_matrix(j, bhat)
+    gen = AlgebraElement(ga @ gb - gb @ ga, check=False) * 0.25
     S = gen.mat[_SLOTS[j - 1], _SLOTS[j - 1]]
     su = S @ uhat
     s = float(bhat @ su)
-    if abs(abs(s) - 1.0) > 1e-9 or np.linalg.norm(su - s * bhat) > 1e-9:
-        raise RotationError("slot action of the rotation generator is not a plane rotation")
-    if np.linalg.norm(S @ bhat + s * uhat) > 1e-9:
+    # on span(u, b) the slot action must be u -> s b, b -> -s u with |s| = 1
+    if (
+        abs(abs(s) - 1.0) > 1e-9
+        or np.linalg.norm(su - s * bhat) > 1e-9
+        or np.linalg.norm(S @ bhat + s * uhat) > 1e-9
+    ):
         raise RotationError("slot action of the rotation generator is not a plane rotation")
     # exp(theta*gen) maps uhat to cos(theta) uhat + s sin(theta) bhat
     theta = math.atan2(dlt * s, gamma)

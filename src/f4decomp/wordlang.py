@@ -11,6 +11,7 @@ arrays and verifies the word's value once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -139,15 +140,23 @@ class _Parser:
 
     def parse_real(self, segment: str, start: int) -> float:
         try:
-            return float(segment)
+            value = float(segment)
         except ValueError:
             self.error(f"bad numeric literal {segment.strip()!r}", start)
+        if not math.isfinite(value):
+            self.error(f"numeric literal {segment.strip()!r} is not finite", start)
+        return value
 
     def parse_oct(self, segment: str, start: int) -> Octonion:
         try:
-            return parse_octonion(segment)
+            # an overflowing coefficient sum is refused below, without warnings
+            with np.errstate(over="ignore"):
+                value = parse_octonion(segment)
         except ValueError as exc:
             self.error(str(exc), start)
+        if not np.isfinite(value.coeffs).all():
+            self.error(f"octonion literal {segment.strip()!r} is not finite", start)
+        return value
 
     def parse_word(self) -> GroupWord:
         factors = [self.parse_factor()]

@@ -197,6 +197,28 @@ def test_gate_overflow_is_one_json_error(capsys, word):
     assert json.loads(lines[0])["error"] == "VerificationError"
 
 
+@pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])
+def test_non_finite_literal_is_one_json_error(capsys, word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eval", "--word", word)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "WordSyntaxError"
+
+
+@pytest.mark.parametrize("lam", ["1e308", "22,1e300"])
+def test_cfunction_overflow_is_one_json_error(capsys, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cfunction", "--lambda", lam)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "OverflowError"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_verify_rejects_non_finite_matrix(tmp_path, capsys, bad):
     mat = np.eye(27)

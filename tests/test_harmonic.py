@@ -187,6 +187,14 @@ def test_spherical_domain():
         ha.spherical(-2.0, 0.5)
 
 
+@pytest.mark.parametrize("la,t", [(1000.0, 2.5), (1000.0, 2.0), (2000.0, 1.0)])
+def test_spherical_past_double_range_overflows(la, t):
+    # phi is past double range here; at t <= 2 its series terms overflow
+    # first, which must not read as a slow series
+    with pytest.raises(OverflowError):
+        ha.spherical(la, t)
+
+
 def jacobi_reference(la, t):
     """phi_la(t) = 2F1((22+la)/4, (22-la)/4; 8; -sinh^2 t) in mpmath."""
     with mpmath.workdps(30):

@@ -9,7 +9,7 @@ import scipy.linalg
 from conftest import random_imag, random_oct, random_unit
 from f4decomp import decomp
 from f4decomp import liegroup as lg
-from f4decomp.jordan import E1, E2, E3, F, JordanElement, inner
+from f4decomp.jordan import E, E1, E2, E3, F, JordanElement, basis27, inner, jordan_mul
 from f4decomp.octonion import Octonion
 from f4decomp.wordlang import eval_word, parse
 
@@ -90,6 +90,50 @@ def test_exp_N_matches_expm(rng):
         gen = lg.gen_G(level, x).mat + lg.gen_G(2 * level, p).mat
         series = scipy.linalg.expm(gen)
         assert np.max(np.abs(direct.mat - series)) <= 1e-12 * max(1.0, np.max(np.abs(series)))
+
+
+@pytest.mark.parametrize("level", [1, -1])
+@pytest.mark.parametrize("which", ["x", "p", "none"])
+def test_exp_N_single_generator_matches_expm(rng, level, which):
+    # the builder skips a generator whose parameter is zero
+    x = random_oct(rng) if which == "x" else Octonion.zero()
+    p = random_imag(rng) if which == "p" else Octonion.zero()
+    direct = lg.exp_N(level, x, p)
+    gen = lg.gen_G(level, x).mat + lg.gen_G(2 * level, p).mat
+    series = scipy.linalg.expm(gen)
+    assert np.max(np.abs(direct.mat - series)) <= 1e-12 * max(1.0, np.max(np.abs(series)))
+
+
+def pairwise_residual(m, derivation):
+    """verify / derivation_residual from Jordan products of basis vectors."""
+    basis = basis27()
+    images = [JordanElement(m[:, i]) for i in range(27)]
+    worst = 0.0
+    for i in range(27):
+        for j in range(27):
+            lhs = m @ jordan_mul(basis[i], basis[j]).vec
+            if derivation:
+                rhs = jordan_mul(images[i], basis[j]).vec + jordan_mul(basis[i], images[j]).vec
+            else:
+                rhs = jordan_mul(images[i], images[j]).vec
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    if not derivation:
+        worst += float(np.linalg.norm(m @ E.vec - E.vec))
+    return worst
+
+
+def test_verify_matches_pairwise_reference(rng):
+    g = eval_word(parse("A3(0.5;1)*G1(0.1e1-0.2e3)*D4(2,e1,e2)*Gm2(0.3e4)")).mat
+    D = lg.gen_A(2, random_unit(rng)).mat + lg.gen_G(1, random_oct(rng)).mat
+    cases = [
+        (lg.verify, g, False),
+        (lg.verify, g + 0.1 * rng.standard_normal((27, 27)), False),
+        (lg.derivation_residual, D, True),
+        (lg.derivation_residual, D + 0.1 * rng.standard_normal((27, 27)), True),
+    ]
+    for fn, m, derivation in cases:
+        ref = pairwise_residual(m, derivation)
+        assert abs(fn(m) - ref) <= 1e-12 * max(1.0, ref)
 
 
 def test_sigma_conjugation_swaps_levels(rng):

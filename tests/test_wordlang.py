@@ -70,6 +70,26 @@ def test_syntax_error_positions(text, pos):
     assert f"position {pos}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("A3(1e400;1)", 3),
+        ("A3(nan;1)", 3),
+        ("A3( -inf ;1)", 4),
+        pytest.param("G1(" + "9" * 400 + ")", 3, id="G1(9...9)"),
+        # each coefficient is finite, their sum is not
+        pytest.param(
+            "S1*D4(1,e1," + "1" + "0" * 308 + "e1+1" + "0" * 308 + "e1)", 11, id="D4(1,e1,1e308e1+1e308e1)"
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_non_finite_literals_are_syntax_errors(text, pos):
+    with pytest.raises(WordSyntaxError, match="not finite") as err:
+        parse(text)
+    assert err.value.pos == pos
+
+
 def test_missing_semicolon_message():
     with pytest.raises(WordSyntaxError, match="expected ';'"):
         parse("A3(0.5)")
