@@ -17,8 +17,8 @@ Every subcommand prints a single JSON object on stdout. Failures print
 when the input lies outside the open cell of a requested factorization
 (DegenerateCell, DegeneratePairing) and code 1 for every other error,
 overflow included. Non-finite inputs (NaN or infinite matrix entries or
-spectral parameters) and non-finite c-function values are rejected with
-code 1.
+spectral parameters), non-finite c-function values and automorphism
+residuals are rejected with code 1.
 """
 
 from __future__ import annotations
@@ -247,8 +247,13 @@ def _cmd_cfunction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    residual = liegroup.verify(_load_matrix(args.matrix))
-    print(_canon({"residual": float(residual)}))
+    # entries near the float range overflow inside the check; a residual
+    # that is not finite is refused below, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(liegroup.verify(_load_matrix(args.matrix)))
+    if not math.isfinite(residual):
+        raise OverflowError("automorphism residual is not finite in double precision")
+    print(_canon({"residual": residual}))
     return 0
 
 

@@ -389,10 +389,8 @@ def gauss(g: GroupElement) -> GaussFactors:
         z = _exp_N_matrix(-1, zx, zp)
         z_inv = np.linalg.inv(z)
         h = z_inv @ g.mat
-        # z^-1 g = m a_t n, so this k-factor is m computed in float64; it too
-        # must pass the group gate
+        # z^-1 g = m a_t n; m itself is recomputed below and verified once
         f = _kan(h, float(np.linalg.norm(h, 2)), -1.0)
-        GroupElement(f.k)
         a = _a_matrix(t)
         # the nilpotent factors grow quartically in their parameters, so this
         # product cancels roughly |z|^2 of magnitude; accumulate in extended

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -307,7 +306,6 @@ def c_quadrature(lam, spec: QuadratureSpec | None = None) -> complex:
 # every series term is a product of ratios of a few roundings each
 _ROUNDOFF = 8.0 * _EPS
 _MAX_TERMS = 1 << 17  # terms of all the series summed at once: 2 MB per array
-_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 _CIRCLE = np.exp(2j * np.pi * np.arange(32) / 32)
 
 
@@ -339,6 +337,34 @@ def _scaled_hyp2f1(expo, log_size, a, b, c, z: float) -> tuple[np.ndarray, np.nd
             return val, np.abs(val) * _EPS * log_size + np.abs(pref) * (n * _ROUNDOFF * mag + tail)
         n *= 2
     raise NonConvergent(f"hypergeometric series needs more than {_MAX_TERMS // rows} terms")
+
+
+def _log_hyp2f1(expo: float, a: float, b: float, c: float, z: float) -> tuple[float, float]:
+    """exp(expo) 2F1(a, b; c; z) for 0 <= z < 1 and real parameters with
+    every term positive, and a bound on its error.
+
+    The terms come from the running sum of their log ratios, shifted by its
+    maximum before exponentiating; past double range the value is inf.
+    """
+    m = np.arange(_MAX_TERMS, dtype=float)
+    log_ratio = np.log(z * (a + m) * (b + m) / ((c + m) * (m + 1.0)))
+    log_terms = np.cumsum(log_ratio)
+    top = max(0.0, float(log_terms.max()))
+    shifted = np.exp(log_terms - top)
+    mag = math.exp(-top) + float(shifted.sum())
+    n = _MAX_TERMS
+    rho = z * (1.0 + abs(a - 1.0) / (n + 1.0)) * (1.0 + abs(b - c) / (c + n))
+    if not (rho < 1.0 and shifted[-1] * rho <= _EPS * mag * (1.0 - rho)):
+        raise NonConvergent(f"hypergeometric series needs more than {n} terms")
+    # a log ratio is off by a few roundings plus one of its size, a running
+    # sum by one of each partial sum (Higham 2002, sec. 4.2), the shift by
+    # one of its size; the plain sum of n terms by n roundings
+    drift = _EPS * (np.cumsum(8.0 + np.abs(log_ratio) + np.abs(log_terms)) + top - log_terms)
+    pref = float(np.exp(expo + top))
+    val = pref * mag
+    tail = shifted[-1] * rho / (1.0 - rho)
+    err = val * _EPS * (abs(expo) + top) + pref * (float(shifted @ drift) + n * _EPS * mag + tail)
+    return val, err
 
 
 def _spherical_connection(lams: np.ndarray, log_cosh: float) -> tuple[np.ndarray, np.ndarray]:
@@ -396,15 +422,11 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         try:
             val, err = _scaled_hyp2f1(expo, abs(expo), par.a, M_ALPHA - par.b, M_ALPHA, z)
         except NonConvergent:
-            # at real lambda every term is positive, so phi is at least the
-            # prefactor times the largest term; past double range that is an
-            # overflow, not a slow series
-            if la.imag == 0.0:
-                a, b, m = par.a.real, M_ALPHA - par.b.real, np.arange(_MAX_TERMS, dtype=float)
-                log_terms = np.cumsum(np.log(z * (a + m) * (b + m) / ((M_ALPHA + m) * (m + 1.0))))
-                if expo.real + max(0.0, log_terms.max()) > _LOG_MAX_FLOAT:
-                    raise OverflowError(f"spherical function at lambda={la}, t={t} overflows") from None
-            raise
+            # at real lambda the plain terms can overflow before the sum
+            # converges; every term is positive, so sum them from their logs
+            if la.imag != 0.0:
+                raise
+            val, err = _log_hyp2f1(expo.real, par.a.real, M_ALPHA - par.b.real, M_ALPHA, z)
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:

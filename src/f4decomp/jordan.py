@@ -182,25 +182,27 @@ def inner(X: JordanElement, Y: JordanElement) -> float:
     return float(X.vec @ (_WEIGHTS * Y.vec))
 
 
-def cross_square(X: JordanElement) -> JordanElement:
+def cross_square(X):
     """Quadratic adjoint: the unique quadratic map with X^x2 = cross(X, X).
 
     Vanishes exactly on the rank-one cone; its diagonal entries are the 2x2
-    cofactors of the twisted matrix realization.
+    cofactors of the twisted matrix realization. Takes a JordanElement, or
+    an (n, 27) array of coordinate rows and returns the (n, 27) rows.
     """
-    xi1, xi2, xi3 = X.vec[:3]
-    x1, x2, x3 = X.vec[3:11], X.vec[11:19], X.vec[19:27]
-    n1 = float(x1 @ x1)
-    n2 = float(x2 @ x2)
-    n3 = float(x3 @ x3)
-    out = np.empty(27)
-    out[0] = xi2 * xi3 - n1
-    out[1] = xi3 * xi1 + n2
-    out[2] = xi1 * xi2 + n3
-    out[3:11] = -oct.conj_vec(oct.mul_vec(x2, x3)) - xi1 * x1
-    out[11:19] = oct.conj_vec(oct.mul_vec(x3, x1)) - xi2 * x2
-    out[19:27] = oct.conj_vec(oct.mul_vec(x1, x2)) - xi3 * x3
-    return JordanElement(out)
+    if isinstance(X, JordanElement):
+        return JordanElement(cross_square(X.vec[None])[0])
+    xi1, xi2, xi3 = X[:, 0], X[:, 1], X[:, 2]
+    x1, x2, x3 = X[:, 3:11], X[:, 11:19], X[:, 19:27]
+    # slot norms as stacked dot products, bit-equal to x @ x per row
+    n1, n2, n3 = (np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in (x1, x2, x3))
+    out = np.empty(X.shape)
+    out[:, 0] = xi2 * xi3 - n1
+    out[:, 1] = xi3 * xi1 + n2
+    out[:, 2] = xi1 * xi2 + n3
+    out[:, 3:11] = -oct.conj_vec(oct.mul_batch(x2, x3)) - xi1[:, None] * x1
+    out[:, 11:19] = oct.conj_vec(oct.mul_batch(x3, x1)) - xi2[:, None] * x2
+    out[:, 19:27] = oct.conj_vec(oct.mul_batch(x1, x2)) - xi3[:, None] * x3
+    return out
 
 
 def cross(X: JordanElement, Y: JordanElement) -> JordanElement:
@@ -226,16 +228,23 @@ _MUL_TENSOR_CACHE: np.ndarray | None = None
 
 
 def mul_tensor() -> np.ndarray:
-    """(27,27,27) tensor J with (e_i o e_j)_k = J[i,j,k] over basis27."""
+    """(27,27,27) tensor J with (e_i o e_j)_k = J[i,j,k] over basis27.
+
+    jordan_mul on all 729 basis pairs at once: the cross form polarizes
+    cross_square over the stacked rows e_i + e_j, and the trace terms need
+    trace(e_i), trace(e_j) and (e_i|e_j) only.
+    """
     global _MUL_TENSOR_CACHE
     if _MUL_TENSOR_CACHE is None:
-        basis = basis27()
-        J = np.empty((27, 27, 27))
-        for i in range(27):
-            for j in range(i, 27):
-                prod = jordan_mul(basis[i], basis[j]).vec
-                J[i, j] = prod
-                J[j, i] = prod
+        eye = np.eye(27)
+        X = np.repeat(eye, 27, axis=0)  # row 27 i + j is e_i ...
+        Y = np.tile(eye, (27, 1))  # ... and e_j
+        sq = cross_square(eye)
+        c = 0.5 * (cross_square(X + Y) - np.repeat(sq, 27, axis=0) - np.tile(sq, (27, 1)))
+        tx, ty = X[:, :3].sum(axis=1), Y[:, :3].sum(axis=1)
+        pair = (tx * ty - (X * _WEIGHTS * Y).sum(axis=1))[:, None]
+        J = c + 0.5 * (tx[:, None] * Y + ty[:, None] * X - pair * E.vec)
+        J = J.reshape(27, 27, 27)
         J.setflags(write=False)
         _MUL_TENSOR_CACHE = J
     return _MUL_TENSOR_CACHE

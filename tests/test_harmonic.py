@@ -195,6 +195,16 @@ def test_spherical_past_double_range_overflows(la, t):
         ha.spherical(la, t)
 
 
+@pytest.mark.parametrize("la,t", [(500.0, 2.0), (700.0, 1.5), (1500.0, 0.8)])
+def test_spherical_in_range_past_series_overflow(la, t):
+    # phi is within double range, but the Pfaff series' plain terms
+    # overflow before they converge (phi_500(2) = 2.05e198)
+    got, err = ha.spherical_with_error(la, t)
+    want = jacobi_reference(la, t)
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert abs(got - want) <= err
+
+
 def jacobi_reference(la, t):
     """phi_la(t) = 2F1((22+la)/4, (22-la)/4; 8; -sinh^2 t) in mpmath."""
     with mpmath.workdps(30):

@@ -29,6 +29,25 @@ from f4decomp.jordan import (
 from f4decomp.octonion import Octonion
 
 
+def test_mul_tensor_matches_pairwise_jordan_mul():
+    basis = jd.basis27()
+    ref = np.empty((27, 27, 27))
+    for i in range(27):
+        for j in range(i, 27):
+            prod = jordan_mul(basis[i], basis[j]).vec
+            ref[i, j] = prod
+            ref[j, i] = prod
+    assert jd.mul_tensor().tobytes() == ref.tobytes()
+
+
+def test_cross_square_rows_match_elements(rng):
+    rows = rng.standard_normal((500, 27)) * rng.choice([1e-3, 1.0, 1e3], size=(500, 1))
+    rows[rng.random((500, 27)) < 0.1] = -0.0
+    stacked = cross_square(rows)
+    for row, got in zip(rows, stacked):
+        assert got.tobytes() == cross_square(JordanElement(row)).vec.tobytes()
+
+
 def test_idempotents():
     for i, Ei in enumerate((E1, E2, E3)):
         assert np.allclose(jordan_mul(Ei, Ei).vec, Ei.vec, atol=1e-15)

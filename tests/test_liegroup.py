@@ -7,9 +7,12 @@ import pytest
 import scipy.linalg
 
 from conftest import random_imag, random_oct, random_unit
-from f4decomp import decomp
+from f4decomp import decomp, jordan
 from f4decomp import liegroup as lg
-from f4decomp.jordan import E, E1, E2, E3, F, JordanElement, basis27, inner, jordan_mul
+from f4decomp import octonion as oct
+from f4decomp.jordan import (
+    E, E1, E2, E3, F, P_MINUS, JordanElement, Qminus, Qplus, basis27, inner, jordan_mul,
+)
 from f4decomp.octonion import Octonion
 from f4decomp.wordlang import eval_word, parse
 
@@ -102,6 +105,64 @@ def test_exp_N_single_generator_matches_expm(rng, level, which):
     gen = lg.gen_G(level, x).mat + lg.gen_G(2 * level, p).mat
     series = scipy.linalg.expm(gen)
     assert np.max(np.abs(direct.mat - series)) <= 1e-12 * max(1.0, np.max(np.abs(series)))
+
+
+def _cols_to_matrix(images):
+    """Matrix whose action sends coord_basis()[c] to images[c]."""
+    _, Binv = jordan.coord_basis_matrix()
+    return np.column_stack([im.vec for im in images]) @ Binv
+
+
+def g1_by_columns(xv):
+    """G1(x) from its image of each adapted basis vector, one JordanElement
+    per column, in the order of jordan.coord_basis()."""
+    x = Octonion(xv)
+    zero = JordanElement(np.zeros(27))
+    images = [Qminus(-1 * x), zero, zero, Qplus(x)]
+    for j in range(1, 8):
+        images.append(Qplus(-1 * (Octonion.unit(j) * x)))
+    for j in range(8):
+        images.append(2 * oct.inner(xv, Octonion.unit(j).coeffs) * P_MINUS)
+    for j in range(8):
+        y = Octonion.unit(j)
+        imxy = (x * y.conj()).im()
+        images.append(2 * oct.inner(xv, y.coeffs) * (E - 3 * E3) + F(3, 2 * imxy))
+    return _cols_to_matrix(images)
+
+
+def g2_by_columns(pv):
+    p = Octonion(pv)
+    zero = JordanElement(np.zeros(27))
+    images = [F(3, -2 * p), zero, zero, zero]
+    for j in range(1, 8):
+        images.append(-2 * oct.inner(pv, Octonion.unit(j).coeffs) * P_MINUS)
+    images += [zero] * 8
+    for j in range(8):
+        images.append(Qplus(-2 * (p * Octonion.unit(j))))
+    return _cols_to_matrix(images)
+
+
+def _generator_params(rng):
+    units = [np.eye(8)[j] for j in range(8)]
+    mixed = rng.standard_normal((6, 8))
+    mixed[rng.random((6, 8)) < 0.5] = -0.0
+    mixed[rng.random((6, 8)) < 0.3] = 0.0
+    return (
+        [rng.standard_normal(8) * s for s in (1e-3, 0.15, 1.0, 30.0)]
+        + units + [-u for u in units]
+        + [np.zeros(8), np.full(8, -0.0)]
+        + list(mixed)
+    )
+
+
+def test_generators_match_column_images(rng):
+    s = lg.sigma(1).mat
+    for v in _generator_params(rng):
+        p = v.copy()
+        p[0] = 0.0
+        for level, param, ref in ((1, v, g1_by_columns(v)), (2, p, g2_by_columns(p))):
+            assert lg.gen_G(level, param).mat.tobytes() == ref.tobytes(), (level, v)
+            assert lg.gen_G(-level, param).mat.tobytes() == (s @ ref @ s).tobytes(), (level, v)
 
 
 def pairwise_residual(m, derivation):
