@@ -17,7 +17,9 @@ E2 and against the reflected null vector h1(-1,1,0;0,0,-1).
 All factor records carry the max-abs reconstruction residual. The factors
 are computed as plain matrices; each factorization gates its
 reconstruction and stabilizer checks on them and verifies the group
-elements it returns (k, k_eps, m) once, as GroupElements.
+elements it returns (k, k_eps, m) once, as GroupElements. An overflow on
+the way leaves non-finite values, refused as typed errors by these gates,
+without floating-point warnings.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .jordan import (
 from .liegroup import (
     GroupElement,
     VerificationError,
-    _exp_A_matrix,
+    _CONJ,
     _exp_N_matrix,
     _fixes,
     d4_rotate,
@@ -56,7 +58,7 @@ from .liegroup import (
     identity,
     sigma,
 )
-from .octonion import Octonion
+from .octonion import Octonion, _coerce, left_mul_matrix, right_mul_matrix
 
 __all__ = [
     "DegeneratePairing",
@@ -179,8 +181,32 @@ def _conditioning(opnorm: float) -> float:
     return max(1.0, opnorm**2)
 
 
+# constants of exp_A(3, t, 1) as the generic builder forms them, signed
+# zeros included: the direction 1, its slot couplings, and the entries that
+# do not depend on t (the E3 diagonal and the imaginary slot-3 diagonal)
+_E0 = _coerce(1.0)
+_CR1, _CL1 = _CONJ @ right_mul_matrix(_E0), _CONJ @ left_mul_matrix(_E0)
+_A_FIXED = np.diag([0.0] * 2 + [1.0] + [0.0] * 17 + [1.0] * 7)
+_A_COSH_DIAG = (np.arange(3, 19), np.arange(3, 19))
+
+
 def _a_matrix(t: float) -> np.ndarray:
-    return _exp_A_matrix(3, t, 1.0)
+    """exp_A(3, t, 1) in closed form: the scalar expressions of
+    `_exp_A_matrix`, written straight into their entries."""
+    c2, s2t = math.cosh(2 * t), math.sinh(2 * t)
+    c, s = math.cosh(t), math.sinh(t)
+    m = _A_FIXED.copy()
+    m[_A_COSH_DIAG] = c
+    m[0, 0] = m[1, 1] = 0.5 * (1 + c2)
+    m[0, 1] = m[1, 0] = 0.5 * (1 - c2)
+    m[19, 19] = 1.0 + 2 * s * s
+    m[0, 19:27] = -s2t * _E0
+    m[1, 19:27] = s2t * _E0
+    m[19:27, 0] = -0.5 * s2t * _E0
+    m[19:27, 1] = 0.5 * s2t * _E0
+    m[3:11, 11:19] = s * _CR1
+    m[11:19, 3:11] = s * _CL1
+    return m
 
 
 def n_pair(X: JordanElement) -> NParams:
@@ -239,14 +265,20 @@ class _KAN(NamedTuple):
     residual: float
 
 
+def _reduce(g: np.ndarray, sign: float) -> tuple[float, NParams, np.ndarray]:
+    """t, the nilpotent parameters and n = exp_N(+1, *params) of the a_t n
+    part of g, read from X = g^-1 E1 (sign -1) or g^-1 E2 (sign +1)."""
+    X = JordanElement(np.linalg.solve(g, (E1 if sign < 0 else E2).vec))
+    t, params = _factor_t_n(X, sign)
+    return t, params, _exp_N_matrix(1, params.x, params.p)
+
+
 def _kan(g: np.ndarray, opnorm: float, sign: float) -> _KAN:
     """g = k a_t n with k fixing E1 (sign -1) or E2 (sign +1), on plain
     matrices: returns the three factor matrices as built, t, the nilpotent
     parameters and the reconstruction residual."""
     fixed, factor = (E1, "k-factor") if sign < 0 else (E2, "k_eps-factor")
-    X = JordanElement(np.linalg.solve(g, fixed.vec))
-    t, params = _factor_t_n(X, sign)
-    n = _exp_N_matrix(1, params.x, params.p)
+    t, params, n = _reduce(g, sign)
     a = _a_matrix(t)
     k = g @ np.linalg.inv(n) @ np.linalg.inv(a)
     gate = group_tol() * _conditioning(opnorm)
@@ -258,6 +290,7 @@ def _kan(g: np.ndarray, opnorm: float, sign: float) -> _KAN:
     return _KAN(k, a, n, t, params, residual)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1."""
     f = _kan(g.mat, g.opnorm, -1.0)
@@ -270,6 +303,7 @@ def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
     return float(Y[1]), member_tol() * float(np.linalg.norm(Y))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     """Open-cell factorization g = k_eps a_t n with k_eps fixing E2."""
     val, tol = _keps_cell_value(g)
@@ -298,6 +332,7 @@ def _require_shape(checks: list[tuple[str, float]], tol: float) -> None:
             raise ShapeViolation(f"component {name} = {dev:.3e} exceeds tolerance {tol:.1e}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def matsuki(g: GroupElement) -> MatsukiFactors:
     """Two-cell factorization g = k_eps (c) m a_t n, c the closed-cell pivot.
 
@@ -374,8 +409,17 @@ def matsuki_classify(g: GroupElement) -> str:
     return "ClosedCell" if abs(val) <= tol else "OpenCell"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss(g: GroupElement) -> GaussFactors:
-    """Open-cell factorization g = z m a_t n with z a lower nilpotent factor."""
+    """Open-cell factorization g = z m a_t n with z a lower nilpotent factor.
+
+    z and t come in closed form from the pairings of g P_MINUS; n from the
+    Iwasawa reduction of h = z^-1 g, whose own k-factor is m and is not
+    built. m = z^-1 g n^-1 a_t^-1 is formed once, in extended precision,
+    and gated by the M stabilizer and reconstruction checks. Failures of
+    these intermediate steps, singular solves included, are reported as
+    DegenerateCell.
+    """
     val, tol, Y = _bruhat_cell_value(g)
     if abs(val) <= tol:
         raise DegenerateCell(f"(g P_MINUS|reflected) = {val:.3e} is below tolerance")
@@ -388,9 +432,8 @@ def gauss(g: GroupElement) -> GaussFactors:
     try:
         z = _exp_N_matrix(-1, zx, zp)
         z_inv = np.linalg.inv(z)
-        h = z_inv @ g.mat
-        # z^-1 g = m a_t n; m itself is recomputed below and verified once
-        f = _kan(h, float(np.linalg.norm(h, 2)), -1.0)
+        # z^-1 g = m a_t n: only n is read from it
+        _, n_params, n = _reduce(z_inv @ g.mat, -1.0)
         a = _a_matrix(t)
         # the nilpotent factors grow quartically in their parameters, so this
         # product cancels roughly |z|^2 of magnitude; accumulate in extended
@@ -398,24 +441,24 @@ def gauss(g: GroupElement) -> GaussFactors:
         m_prod = (
             z_inv.astype(np.longdouble)
             @ g.mat.astype(np.longdouble)
-            @ np.linalg.inv(f.n).astype(np.longdouble)
+            @ np.linalg.inv(n).astype(np.longdouble)
             @ np.linalg.inv(a).astype(np.longdouble)
         )
         m = np.asarray(m_prod, dtype=np.float64)
         gate = group_tol() * _conditioning(g.opnorm)
         if not _fixes(m, _M_TARGETS, gate):
             raise VerificationError("m-factor fails the M stabilizer check")
-        residual = _reconstruction_residual([z, m, a, f.n], g.mat)
+        residual = _reconstruction_residual([z, m, a, n], g.mat)
         if residual > gate:
             raise VerificationError(f"reconstruction residual {residual:.3e}")
         m = GroupElement(m)
-    except (DegeneratePairing, VerificationError) as exc:
+    except (DegeneratePairing, VerificationError, np.linalg.LinAlgError) as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance
         raise DegenerateCell(
             f"(g P_MINUS|reflected) = {val:.3e} is too close to the cell boundary: {exc}"
         ) from exc
-    return GaussFactors(z=z_params, m=m, t=t, n=f.params, residual=residual)
+    return GaussFactors(z=z_params, m=m, t=t, n=n_params, residual=residual)
 
 
 def z_of_X(X: JordanElement) -> NParams:

@@ -12,6 +12,7 @@ arrays and verifies the word's value once.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -83,6 +84,8 @@ class Product:
 GroupWord = Union[AtomA, AtomG, AtomS, AtomD4, Power, Product]
 
 _G_NAMES = {1: "G1", 2: "G2", -1: "Gm1", -2: "Gm2"}
+# the delimiter sets that end a literal segment
+_STOP_RES = {stops: re.compile(f"[{re.escape(stops)}]") for stops in (";)", ")", ",)")}
 
 
 class _Parser:
@@ -114,8 +117,8 @@ class _Parser:
         # octonion literals which never contain parens or separators
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] not in stops:
-            self.pos += 1
+        found = _STOP_RES[stops].search(self.src, start)
+        self.pos = found.start() if found else len(self.src)
         return self.src[start : self.pos], start
 
     def parse_digit(self, allowed: str, what: str) -> int:

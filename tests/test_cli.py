@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import DEEP_GAUSS_WORD
 from f4decomp import cli
 from f4decomp import liegroup as lg
 from f4decomp.octonion import Octonion
@@ -97,6 +98,18 @@ def test_degenerate_exits_2(capsys):
     code, _, err = run_cli(capsys, "keps", "--word", "A1(-1.5707963267948966;1)")
     assert code == 2
     assert json.loads(err)["error"] == "DegenerateCell"
+
+
+def test_deep_gauss_word_exits_2(capsys):
+    code, out, err = run_cli(capsys, "gauss", "--word", DEEP_GAUSS_WORD)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DegenerateCell"
+
+
+def test_huge_rotation_word_evaluates(capsys):
+    one = "1" + "0" * 300
+    code, out, err = run_cli(capsys, "eval", "--word", f"D4(1,{one},{one}e1)")
+    assert code == 0 and err == ""
 
 
 def test_syntax_error_exits_1(capsys):
@@ -195,6 +208,19 @@ def test_gate_overflow_is_one_json_error(capsys, word):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "VerificationError"
+
+
+@pytest.mark.parametrize("cmd", ["iwasawa", "keps", "matsuki", "gauss"])
+def test_factorization_overflow_is_one_json_error(capsys, cmd):
+    # g^-1 E1 of this nilpotent element overflows its squared norm
+    word = "G1(" + "0." + "0" * 91 + "24774129605828915+700e1)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, cmd, "--word", word)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in ("DegeneratePairing", "DegenerateCell")
 
 
 @pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_group, random_keps, random_m, random_oct, random_imag
+from conftest import DEEP_GAUSS_WORD, random_group, random_keps, random_m, random_oct, random_imag
 from f4decomp import decomp as dc
 from f4decomp import liegroup as lg
 from f4decomp.harmonic import H_nbar
 from f4decomp.jordan import E1, E2, E3, F, P13_MINUS, P_MINUS, JordanElement, inner
 from f4decomp.octonion import Octonion
+from f4decomp.wordlang import eval_word, parse
 
 
 def reconstruct_iwasawa(f):
@@ -172,6 +173,23 @@ def test_gauss_factors_large_boost():
     assert f.z.norm() == 0.0 and f.n.norm() == 0.0
     assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)])
     assert np.max(np.abs(f.m.mat - np.eye(27))) <= 1e-7
+
+
+def test_gauss_keeps_its_typed_error_on_singular_solves():
+    g = eval_word(parse(DEEP_GAUSS_WORD))
+    assert dc.bruhat_classify(g) == "OpenCell"
+    with pytest.raises(dc.DegenerateCell):
+        dc.gauss(g)
+
+
+def test_a_matrix_is_the_generic_torus_bytewise(rng):
+    ts = np.concatenate([
+        rng.standard_normal(1000),
+        rng.uniform(-300.0, 300.0, 1000),
+        [0.0, -0.0, 300.0, -300.0, 5e-324, -5e-324],
+    ])
+    for t in ts:
+        assert dc._a_matrix(float(t)).tobytes() == lg._exp_A_matrix(3, float(t), 1.0).tobytes(), t
 
 
 def test_z_of_X_moves_to_base_ray(rng):

@@ -156,6 +156,8 @@ def _generator_params(rng):
 
 
 def test_generators_match_column_images(rng):
+    # the references form all 15 and 8 octonion products (x conj(e_j) for
+    # every j, p e_j for every j); the builders derive the rest exactly
     s = lg.sigma(1).mat
     for v in _generator_params(rng):
         p = v.copy()
@@ -163,6 +165,17 @@ def test_generators_match_column_images(rng):
         for level, param, ref in ((1, v, g1_by_columns(v)), (2, p, g2_by_columns(p))):
             assert lg.gen_G(level, param).mat.tobytes() == ref.tobytes(), (level, v)
             assert lg.gen_G(-level, param).mat.tobytes() == (s @ ref @ s).tobytes(), (level, v)
+
+
+def test_generators_take_seven_octonion_products(rng, monkeypatch):
+    calls = []
+    real = Octonion.__mul__
+    monkeypatch.setattr(Octonion, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    lg.gen_G(1, random_oct(rng))
+    assert len(calls) == 7
+    calls.clear()
+    lg.gen_G(2, random_imag(rng))
+    assert len(calls) == 7
 
 
 def pairwise_residual(m, derivation):
@@ -248,9 +261,97 @@ def test_d4_rotate_rejects_unequal_norms(rng):
         lg.d4_rotate(1, Octonion.one(), Octonion.from_scalar(2.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_d4_rotate_is_scale_invariant(rng):
+    # |u|^2 overflows past |u| ~ 1.3e154 and underflows below ~1e-154;
+    # power-of-two scalings are exact, so the rotation is the same matrix at
+    # every scale
+    big = lg.d4_rotate(1, Octonion.from_scalar(1e300), Octonion(1e300 * np.eye(8)[1]))
+    assert big.mat.tobytes() == lg.d4_rotate(1, Octonion.one(), Octonion.unit(1)).mat.tobytes()
+    for j in (1, 2, 3):
+        u = rng.standard_normal(8)
+        v = rng.standard_normal(8)
+        v *= np.linalg.norm(u) / np.linalg.norm(v)
+        ref = lg.d4_rotate(j, u, v).mat.tobytes()
+        for k in (-600, -40, -3, 5, 1000):
+            assert lg.d4_rotate(j, np.ldexp(u, k), np.ldexp(v, k)).mat.tobytes() == ref, (j, k)
+
+
 def test_group_element_gates_garbage():
     with pytest.raises(lg.VerificationError):
         lg.GroupElement(np.eye(27) + 1e-3)
+
+
+def svd_gate_accepts(mat):
+    """The group gate decided on the SVD operator norm alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = lg.verify(mat)
+        norm = float(np.linalg.norm(mat, 2))
+    norm_sq = norm * norm
+    return math.isfinite(norm_sq) and residual < lg.group_tol() * max(1.0, norm_sq)
+
+
+def accepts(mat):
+    try:
+        lg.GroupElement(mat)
+    except lg.VerificationError:
+        return False
+    return True
+
+
+def _gate_edge(base):
+    """Scalings (1 + d) base with d at the SVD gate's flip and a few ulps and
+    decades around it; the residual grows linearly in d."""
+    lo, hi = 0.0, 1e-3
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if svd_gate_accepts((1 + mid) * base) else (lo, mid)
+    ds = [lo, hi, np.nextafter(lo, 0), np.nextafter(hi, 1), 0.5 * lo, 0.9 * lo, 1.1 * hi, 2 * hi]
+    return [(1 + d) * base for d in ds]
+
+
+def test_gate_decides_like_the_svd_gate(monkeypatch):
+    # the identity has equal column and operator norms; the torus element's
+    # largest column is well below its operator norm, so near its edge the
+    # column bound fails and the SVD decides
+    cases = _gate_edge(np.eye(27)) + _gate_edge(lg.exp_A(3, 0.5, 1.0).mat)
+    cases += [1e200 * np.eye(27), 1e160 * lg.exp_A(2, 0.3, 1.0).mat, np.eye(27) + 1e-3]
+    decisions = [accepts(m) for m in cases]
+    assert decisions == [svd_gate_accepts(m) for m in cases]
+    assert True in decisions and False in decisions
+    monkeypatch.setattr(lg, "verify", lambda m: math.nan)
+    assert not accepts(np.eye(27))
+
+
+def test_opnorm_is_the_svd_norm_computed_once(monkeypatch):
+    base = lg.exp_A(3, 0.5, 1.0).mat
+    col_sq = float(np.max(np.sum(base * base, axis=0)))
+    norm_sq = float(np.linalg.norm(base, 2)) ** 2
+    # a residual between tol * col_sq and tol * |g|_2^2: only the SVD passes it
+    d = 1e-3
+    while lg.verify((1 + d) * base) >= lg.group_tol() * norm_sq:
+        d /= 1.01
+    between = (1 + d) * base
+    assert lg.verify(between) >= lg.group_tol() * col_sq
+    calls = []
+    real = np.linalg.norm
+    monkeypatch.setattr(
+        np.linalg, "norm", lambda m, ord=None: calls.append(ord) or real(m, ord)
+    )
+    for mat, svd_in_gate in ((base, 0), (between, 1)):
+        calls.clear()
+        g = lg.GroupElement(mat)
+        assert calls.count(2) == svd_in_gate
+        for _ in range(3):
+            assert g.opnorm == real(mat, 2)
+        assert calls.count(2) == 1
+
+
+def test_algebra_element_refuses_nan():
+    with pytest.raises(lg.VerificationError):
+        lg.AlgebraElement(np.full((27, 27), np.nan))
+    with pytest.raises(lg.VerificationError):
+        lg.gen_G(1, [np.nan] * 8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,6 +15,7 @@ from f4decomp.wordlang import (
     Power,
     Product,
     WordSyntaxError,
+    _Parser,
     eval_word,
     parse,
     print_word,
@@ -88,6 +89,19 @@ def test_non_finite_literals_are_syntax_errors(text, pos):
     with pytest.raises(WordSyntaxError, match="not finite") as err:
         parse(text)
     assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("stops", [";)", ")", ",)"])
+@pytest.mark.parametrize(
+    "src", ["", "  1+e2 ;x)", "0.5e1,e2)", "no stop here", ")", " ; ", "1 2 3,4"]
+)
+def test_scan_until_stops_at_first_delimiter(src, stops):
+    p = _Parser(src)
+    seg, start = p.scan_until(stops)
+    end = start
+    while end < len(src) and src[end] not in stops:
+        end += 1
+    assert (seg, start, p.pos) == (src[start:end], len(src) - len(src.lstrip()), end)
 
 
 def test_missing_semicolon_message():
