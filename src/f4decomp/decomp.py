@@ -1,8 +1,6 @@
 """Explicit factorizations of the rank-one exceptional group.
 
-Four global or open-dense factorizations of a verified 27x27 group element,
-each computed from closed-form pairings rather than iterative matrix
-algorithms:
+Four global or open-dense factorizations of a verified 27x27 group element:
 
     iwasawa       g = k a_t n        k fixes E1 (total map)
     keps_iwasawa  g = k_eps a_t n    k_eps fixes E2 (open dense cell)
@@ -10,9 +8,13 @@ algorithms:
     gauss         g = z m a_t n      z lower nilpotent (open dense cell)
 
 where a_t = exp_A(3, t, 1), n = exp_N(+1, x, p), z = exp_N(-1, x, p), and m
-fixes E1, E2, E3 and F(3,1). The cell tests and the orbit classification on
-rays of the trace-zero negative cone are sign tests of pairings against
-E2 and against the reflected null vector h1(-1,1,0;0,0,-1).
+fixes E1, E2, E3 and F(3,1). In the eigenbasis of the torus generator a_t
+is diagonal, n and z block triangular and k orthogonal after a fixed
+scaling, so iwasawa and the closed matsuki cell are one Householder QR and
+gauss one block LDU; keps_iwasawa reads t and n from the pairings of
+g^-1 E2. The cell tests and the orbit classification on rays of the
+trace-zero negative cone are sign tests of pairings against E2 and against
+the reflected null vector h1(-1,1,0;0,0,-1).
 
 All factor records carry the max-abs reconstruction residual. The factors
 are computed as plain matrices; each factorization gates its
@@ -154,18 +156,41 @@ def closed_cell_rep() -> GroupElement:
     return exp_A(1, -0.5 * math.pi, 1.0)
 
 
-# rows turning a 27-vector Y into the pairing sums ((Q^-(e_i)|Y))_i and
-# ((F(3,e_i)|Y))_i without building elements in the loop
-def _pairing_rows() -> tuple[np.ndarray, np.ndarray]:
-    w = jordan._WEIGHTS
-    qminus = np.stack([w * jordan.Qminus(Octonion.unit(i)).vec for i in range(8)])
-    f3 = np.stack([w * F(3, Octonion.unit(i)).vec for i in range(1, 8)])
-    qminus.setflags(write=False)
-    f3.setflags(write=False)
-    return qminus, f3
+def _graded_basis() -> np.ndarray:
+    """Integer eigenvectors of the torus generator gen_A(3, 1) as columns, in
+    descending grade: 2, 1 (x8), 0 (x9), -1 (x8), -2."""
+    j = np.arange(8)
+    s = np.where(j == 0, 1.0, -1.0)  # sign of e_{11+j} against e_{3+j}
+    V = np.zeros((27, 27))
+    V[[0, 1, 19, 0, 1, 19], [0, 0, 0, 26, 26, 26]] = 1.0, -1.0, -1.0, 1.0, -1.0, 1.0
+    V[3 + j, 1 + j] = V[3 + j, 18 + j] = 1.0
+    V[11 + j, 1 + j], V[11 + j, 18 + j] = s, -s
+    V[[0, 1, 2, *range(20, 27)], [9, 9, *range(10, 18)]] = 1.0
+    return V
 
 
-_QMINUS_ROWS, _F3_ROWS = _pairing_rows()
+# Graded coordinates g' = V^-1 g V. The columns of V are orthogonal for |W|
+# (W the pairing weights), with squared norms G = 4, 4 (x8), 2, 1, 2 (x7),
+# 4 (x8), 4, so V^-1 = G^-1 V^T |W| has entries 0, +-1/4, +-1/2, +-1. There
+# a_t is diagonal, N^+ block upper and N^- block lower unipotent over the
+# grade blocks, and an element k' of the stabilizer of E1 keeps G, so
+# k'^-1 = G^-1 k'^T G and k' is orthogonal once scaled by sqrt(G).
+_V = _graded_basis()
+_GRAM = np.einsum("ij,i,ij->j", _V, np.abs(jordan._WEIGHTS), _V)
+_V_INV = _V.T * np.abs(jordan._WEIGHTS) / _GRAM[:, None]
+_ROOT_GRAM = np.sqrt(_GRAM)
+_U, _U_INV = _V / _ROOT_GRAM, _ROOT_GRAM[:, None] * _V_INV
+_BLOCKS = (slice(0, 1), slice(1, 9), slice(9, 18), slice(18, 26), slice(26, 27))
+
+
+def _nilpotent_params(unit: np.ndarray, level: int) -> NParams:
+    """Parameters of exp_N(level, x, p) from the top row (level +1) or first
+    column (level -1) of its graded matrix: x in the grade-1 entries, Im p in
+    the imaginary grade-0 ones, which x^2 does not reach."""
+    return NParams(
+        Octonion(-0.5 * level * unit[1:9]),
+        Octonion.from_imag7((0.5 if level > 0 else -0.25) * unit[11:18]),
+    )
 
 
 def _reconstruction_residual(parts: list[np.ndarray], g: np.ndarray) -> float:
@@ -241,60 +266,35 @@ def nx_closed_form(X: JordanElement) -> JordanElement:
     return JordanElement(vec)
 
 
-def _factor_t_n(X: JordanElement, sign: float) -> tuple[float, NParams]:
-    """Common reduction: t and nilpotent parameters from X = g^-1 E_i.
+def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
+    """g = k a_t n with k fixing E1, on plain matrices, by one Householder QR.
 
-    sign = -1 selects the E1 normalization (pairing is negative), +1 the E2
-    normalization (pairing is positive).
+    In scaled graded coordinates k is orthogonal and a_t n upper triangular
+    with a positive diagonal, so U^-1 g U = Q R with diag(R) > 0 gives k = Q,
+    t = log(R_00) / 2 and n from R's top row. Returns the matrices k, a_t and
+    n, t, n's parameters and the residual, gated at `gate`.
     """
-    params = n_pair(X)
-    pair = inner(P_MINUS, X)
-    if sign * pair <= 0.0:
-        raise VerificationError(
-            f"pairing sign violated: (P_MINUS|X) = {pair:.3e}, expected sign {sign:+.0f}"
-        )
-    return 0.5 * math.log(sign * pair), params
-
-
-class _KAN(NamedTuple):
-    k: np.ndarray  # unverified
-    a: np.ndarray  # a_t
-    n: np.ndarray  # exp_N(+1, *params)
-    t: float
-    params: NParams
-    residual: float
-
-
-def _reduce(g: np.ndarray, sign: float) -> tuple[float, NParams, np.ndarray]:
-    """t, the nilpotent parameters and n = exp_N(+1, *params) of the a_t n
-    part of g, read from X = g^-1 E1 (sign -1) or g^-1 E2 (sign +1)."""
-    X = JordanElement(np.linalg.solve(g, (E1 if sign < 0 else E2).vec))
-    t, params = _factor_t_n(X, sign)
-    return t, params, _exp_N_matrix(1, params.x, params.p)
-
-
-def _kan(g: np.ndarray, opnorm: float, sign: float) -> _KAN:
-    """g = k a_t n with k fixing E1 (sign -1) or E2 (sign +1), on plain
-    matrices: returns the three factor matrices as built, t, the nilpotent
-    parameters and the reconstruction residual."""
-    fixed, factor = (E1, "k-factor") if sign < 0 else (E2, "k_eps-factor")
-    t, params, n = _reduce(g, sign)
-    a = _a_matrix(t)
-    k = g @ np.linalg.inv(n) @ np.linalg.inv(a)
-    gate = group_tol() * _conditioning(opnorm)
-    if not _fixes(k, [fixed], gate):
-        raise VerificationError(f"computed {factor} does not fix E{2 if sign > 0 else 1}")
+    q, r = np.linalg.qr(_U_INV @ g @ _U)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    top = sign[0] * r[0]
+    t = 0.5 * math.log(top[0])
+    params = _nilpotent_params(top * _ROOT_GRAM / (_ROOT_GRAM[0] * top[0]), 1)
+    k = _U @ (q * sign) @ _U_INV
+    if not _fixes(k, [E1], gate):
+        raise VerificationError("computed k-factor does not fix E1")
+    a, n = _a_matrix(t), _exp_N_matrix(1, params.x, params.p)
     residual = _reconstruction_residual([k, a, n], g)
-    if residual > gate:
+    if not residual <= gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
-    return _KAN(k, a, n, t, params, residual)
+    return k, a, n, t, params, residual
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
-    """Global factorization g = k a_t n with k fixing E1."""
-    f = _kan(g.mat, g.opnorm, -1.0)
-    return IwasawaFactors(k=GroupElement(f.k), t=f.t, n=f.params, residual=f.residual)
+    """Global factorization g = k a_t n with k fixing E1; where k cannot be
+    certified at tolerance it raises VerificationError."""
+    k, _, _, t, params, residual = _graded_iwasawa(g.mat, group_tol() * _conditioning(g.opnorm))
+    return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
 def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
@@ -312,15 +312,29 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
     try:
-        f = _kan(g.mat, g.opnorm, 1.0)
-        k_eps = GroupElement(f.k)
+        X = JordanElement(np.linalg.solve(g.mat, E2.vec))
+        params = n_pair(X)
+        pair = inner(P_MINUS, X)
+        if pair <= 0.0:
+            msg = f"pairing sign violated: (P_MINUS|X) = {pair:.3e}, expected sign +1"
+            raise VerificationError(msg)
+        t = 0.5 * math.log(pair)
+        n, a = _exp_N_matrix(1, params.x, params.p), _a_matrix(t)
+        k = g.mat @ np.linalg.inv(n) @ np.linalg.inv(a)
+        gate = group_tol() * _conditioning(g.opnorm)
+        if not _fixes(k, [E2], gate):
+            raise VerificationError("computed k_eps-factor does not fix E2")
+        residual = _reconstruction_residual([k, a, n], g.mat)
+        if residual > gate:
+            raise VerificationError(f"reconstruction residual {residual:.3e}")
+        k_eps = GroupElement(k)
     except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance
         raise DegenerateCell(
             f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {exc}"
         ) from exc
-    return KEpsFactors(k_eps=k_eps, t=f.t, n=f.params, residual=f.residual)
+    return KEpsFactors(k_eps=k_eps, t=t, n=params, residual=residual)
 
 
 _M_TARGETS = [E1, E2, E3, F(3, 1.0)]
@@ -375,30 +389,31 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
     kprime = d4_rotate(2, Octonion(x2v / r), Octonion.one())
     c = closed_cell_rep()
-    h = np.linalg.inv(c.mat) @ kprime.mat @ g.mat
-    f = _kan(h, float(np.linalg.norm(h, 2)), -1.0)
-    m = GroupElement(f.k)
+    # c^-1 = W^-1 c^T W, which transposes and scales by powers of two
+    c_inv = c.mat.T * jordan._WEIGHTS / jordan._WEIGHTS[:, None]
     gate = group_tol() * _conditioning(g.opnorm)
+    m, a, n, t, params, _ = _graded_iwasawa(c_inv @ kprime.mat @ g.mat, gate)
+    m = GroupElement(m)
     if not _fixes(m.mat, _M_TARGETS, gate):
         raise VerificationError("closed-cell m-factor fails the M stabilizer check")
     k_eps = kprime.inv()
-    residual = _reconstruction_residual([k_eps.mat, c.mat, m.mat, f.a, f.n], g.mat)
-    if residual > gate:
+    residual = _reconstruction_residual([k_eps.mat, c.mat, m.mat, a, n], g.mat)
+    if not residual <= gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return MatsukiFactors(
-        cell="Closed", k_eps=k_eps, w=True, m=m, t=f.t, n=f.params, residual=residual
+        cell="Closed", k_eps=k_eps, w=True, m=m, t=t, n=params, residual=residual
     )
 
 
-def _bruhat_cell_value(g: GroupElement) -> tuple[float, float, np.ndarray]:
+def _bruhat_cell_value(g: GroupElement) -> tuple[float, float]:
     Y = g.mat @ P_MINUS.vec
     val = float(Y @ (jordan._WEIGHTS * SIGMA_P_MINUS.vec))
-    return val, member_tol() * float(np.linalg.norm(Y)), Y
+    return val, member_tol() * float(np.linalg.norm(Y))
 
 
 def bruhat_classify(g: GroupElement) -> str:
     """Cell label of g: "OpenCell" for the dense cell, "ClosedCell" otherwise."""
-    val, tol, _ = _bruhat_cell_value(g)
+    val, tol = _bruhat_cell_value(g)
     return "ClosedCell" if abs(val) <= tol else "OpenCell"
 
 
@@ -409,50 +424,62 @@ def matsuki_classify(g: GroupElement) -> str:
     return "ClosedCell" if abs(val) <= tol else "OpenCell"
 
 
+def _graded_m(gp: np.ndarray) -> np.ndarray:
+    """m' from the block diagonal D of the block LDU g' = z' (m a_t)' n' over
+    the grade blocks. A block of D is c m' with c = e^(grade t), so
+    c^2 = tr(D^T G D) / tr(G) and D^-1 = G^-1 D^T G / c^2. c is read from the
+    block, not from t, since small graded entries of g carry rounding of
+    order eps |g| and part of it is common to the block.
+    """
+    A = gp.copy()
+    m = np.zeros((27, 27))
+    for b in _BLOCKS:
+        d, gram = A[b, b], _GRAM[b]
+        c2 = float(np.einsum("ij,i,ij->", d, gram, d)) / float(gram.sum())
+        if not c2 > 0.0:
+            raise VerificationError("a diagonal block of the graded LDU is singular")
+        m[b, b] = d / math.sqrt(c2)
+        rest = slice(b.stop, 27)
+        A[rest, rest] -= A[rest, b] @ (d.T * gram / gram[:, None] / c2) @ A[b, rest]
+    return m
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def gauss(g: GroupElement) -> GaussFactors:
     """Open-cell factorization g = z m a_t n with z a lower nilpotent factor.
 
-    z and t come in closed form from the pairings of g P_MINUS; n from the
-    Iwasawa reduction of h = z^-1 g, whose own k-factor is m and is not
-    built. m = z^-1 g n^-1 a_t^-1 is formed once, in extended precision,
-    and gated by the M stabilizer and reconstruction checks. Failures of
-    these intermediate steps, singular solves included, are reported as
-    DegenerateCell.
+    One block LDU of g' = V^-1 g V over the grade blocks: z' = L,
+    (m a_t)' = D and n' = U. The cell value is 4 g'_00, which gives t, and
+    the parameters of z and n are read off the first column and row of g'.
+    Failures of the M stabilizer and reconstruction gates on m are reported
+    as DegenerateCell.
     """
-    val, tol, Y = _bruhat_cell_value(g)
+    val, tol = _bruhat_cell_value(g)
     if abs(val) <= tol:
         raise DegenerateCell(f"(g P_MINUS|reflected) = {val:.3e} is below tolerance")
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|reflected) = {val:.3e} negative; positivity violated")
-    zx = Octonion(-0.5 * (_QMINUS_ROWS @ Y) / val)
-    zp = Octonion.from_imag7(-0.5 * (_F3_ROWS @ Y) / val)
-    z_params = NParams(zx, zp)
     t = 0.5 * math.log(0.25 * val)
+    gp = _V_INV @ g.mat @ _V
+    z_params = _nilpotent_params(gp[:, 0] / gp[0, 0], -1)
+    n_params = _nilpotent_params(gp[0] / gp[0, 0], 1)
     try:
-        z = _exp_N_matrix(-1, zx, zp)
-        z_inv = np.linalg.inv(z)
-        # z^-1 g = m a_t n: only n is read from it
-        _, n_params, n = _reduce(z_inv @ g.mat, -1.0)
-        a = _a_matrix(t)
-        # the nilpotent factors grow quartically in their parameters, so this
-        # product cancels roughly |z|^2 of magnitude; accumulate in extended
-        # precision (a no-op on platforms where longdouble aliases float64)
-        m_prod = (
-            z_inv.astype(np.longdouble)
-            @ g.mat.astype(np.longdouble)
-            @ np.linalg.inv(n).astype(np.longdouble)
-            @ np.linalg.inv(a).astype(np.longdouble)
-        )
-        m = np.asarray(m_prod, dtype=np.float64)
+        mg = _graded_m(gp)
+        m = _V @ mg @ _V_INV
         gate = group_tol() * _conditioning(g.opnorm)
         if not _fixes(m, _M_TARGETS, gate):
             raise VerificationError("m-factor fails the M stabilizer check")
-        residual = _reconstruction_residual([z, m, a, n], g.mat)
-        if residual > gate:
+        # multiplied out in graded coordinates, where the large entries of z
+        # and n do not cancel in the product as they do in standard ones
+        zg, ag, ng = (
+            _V_INV @ f @ _V
+            for f in (_exp_N_matrix(-1, *z_params), _a_matrix(t), _exp_N_matrix(1, *n_params))
+        )
+        residual = _reconstruction_residual([_V, zg, mg, ag, ng, _V_INV], g.mat)
+        if not residual <= gate:
             raise VerificationError(f"reconstruction residual {residual:.3e}")
         m = GroupElement(m)
-    except (DegeneratePairing, VerificationError, np.linalg.LinAlgError) as exc:
+    except VerificationError as exc:
         # inside the open cell but too near its boundary for the factors to
         # be representable at tolerance
         raise DegenerateCell(

@@ -469,7 +469,8 @@ def expm(phi: AlgebraElement) -> GroupElement:
     m = phi.mat
     norm = float(np.linalg.norm(m))
     res = derivation_residual(m)
-    if res > 1e-9 * max(1.0, norm):
+    # written so that a NaN residual fails
+    if not res <= 1e-9 * max(1.0, norm):
         raise VerificationError(f"derivation residual {res:.3e} too large to exponentiate")
     nsq = 0
     if norm > 0.5:

@@ -210,10 +210,13 @@ def test_gate_overflow_is_one_json_error(capsys, word):
     assert json.loads(lines[0])["error"] == "VerificationError"
 
 
-@pytest.mark.parametrize("cmd", ["iwasawa", "keps", "matsuki", "gauss"])
+FUZZ_NILPOTENT_WORD = "G1(" + "0." + "0" * 91 + "24774129605828915+700e1)"
+
+
+@pytest.mark.parametrize("cmd", ["keps", "matsuki", "gauss"])
 def test_factorization_overflow_is_one_json_error(capsys, cmd):
     # g^-1 E1 of this nilpotent element overflows its squared norm
-    word = "G1(" + "0." + "0" * 91 + "24774129605828915+700e1)"
+    word = FUZZ_NILPOTENT_WORD
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, cmd, "--word", word)
@@ -221,6 +224,24 @@ def test_factorization_overflow_is_one_json_error(capsys, cmd):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] in ("DegeneratePairing", "DegenerateCell")
+
+
+@pytest.mark.parametrize(
+    "word",
+    [FUZZ_NILPOTENT_WORD, "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)"],
+    ids=["fuzz-nilpotent", "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)"],
+)
+def test_iwasawa_refusal_is_one_json_error(capsys, word):
+    # iwasawa is total: where the input has lost the small graded
+    # components k depends on, k fails its gate, which is exit 1, never the
+    # exit 2 that marks an input outside an open cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "iwasawa", "--word", word)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "VerificationError"
 
 
 @pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEEP_GAUSS_WORD, random_group, random_keps, random_m, random_oct, random_imag
+from conftest import (
+    DEEP_GAUSS_WORD,
+    random_group,
+    random_imag,
+    random_keps,
+    random_m,
+    random_oct,
+    random_unit,
+)
 from f4decomp import decomp as dc
+from f4decomp import jordan
 from f4decomp import liegroup as lg
 from f4decomp.harmonic import H_nbar
 from f4decomp.jordan import E1, E2, E3, F, P13_MINUS, P_MINUS, JordanElement, inner
@@ -190,6 +199,111 @@ def test_a_matrix_is_the_generic_torus_bytewise(rng):
     ])
     for t in ts:
         assert dc._a_matrix(float(t)).tobytes() == lg._exp_A_matrix(3, float(t), 1.0).tobytes(), t
+
+
+GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
+EPS = np.finfo(float).eps
+
+
+def test_graded_basis_identities():
+    V, V_inv = dc._V, dc._V_INV
+    assert np.array_equal(lg.gen_A(3, 1.0).mat @ V, V * GRADES)
+    assert np.array_equal(V_inv @ V, np.eye(27))
+    gram = V.T @ (np.abs(jordan._WEIGHTS)[:, None] * V)
+    want = np.repeat([4.0, 4.0, 2.0, 1.0, 2.0, 4.0, 4.0], [1, 8, 1, 1, 7, 8, 1])
+    assert np.array_equal(gram, np.diag(want))
+    assert [b.stop - b.start for b in dc._BLOCKS] == [1, 8, 9, 8, 1]
+
+
+@pytest.mark.parametrize("level", [1, -1])
+def test_nilpotent_factors_are_block_unipotent_in_graded_coordinates(rng, level):
+    for _ in range(10):
+        x, p = random_oct(rng), random_imag(rng)
+        ng = dc._V_INV @ lg._exp_N_matrix(level, x, p) @ dc._V
+        # upper (level +1) or lower (level -1) block triangular with
+        # identity diagonal blocks
+        tol = 1e-15 * np.max(np.abs(ng))
+        stray = np.tril(ng, -1) if level == 1 else np.triu(ng, 1)
+        assert np.max(np.abs(stray)) <= tol
+        for b in dc._BLOCKS:
+            assert np.max(np.abs(ng[b, b] - np.eye(b.stop - b.start))) <= tol
+        # the parameters are linear reads of the top row or first column
+        got = dc._nilpotent_params(ng[0] if level == 1 else ng[:, 0], level)
+        assert np.max(np.abs(got.x.coeffs - x.coeffs)) <= tol
+        assert np.max(np.abs(got.p.coeffs - p.coeffs)) <= tol
+
+
+def test_iwasawa_known_answers(rng):
+    # g = k a_t n from known factors; k is built from elements that fix E1
+    refused = 0
+    for _ in range(100):
+        t = rng.uniform(-6.0, 6.0)
+        x, p = random_oct(rng), random_imag(rng)
+        x = Octonion(x.coeffs * rng.uniform(0.0, 1.0) / x.norm())
+        p = Octonion(p.coeffs * rng.uniform(0.0, 1.0) / p.norm())
+        u = random_oct(rng)
+        k = lg.exp_A(1, rng.uniform(-3.0, 3.0), random_unit(rng))
+        k = k @ lg.d4_rotate(int(rng.integers(1, 4)), u, Octonion(np.roll(u.coeffs, 3)))
+        if rng.integers(2):
+            k = k @ lg.sigma(1)
+        g = k @ lg.exp_A(3, t, 1.0) @ lg.exp_N(1, x, p)
+        # rounding g alone moves the factors by up to about eps |g|^2
+        kappa = max(1.0, g.opnorm**2)
+        try:
+            f = dc.iwasawa(g)
+        except lg.VerificationError:
+            # a refusal is a defect unless that rounding nears the gate
+            assert EPS * kappa >= 1e-9
+            refused += 1
+            continue
+        assert abs(f.t - t) <= 1e-11 * kappa
+        assert np.max(np.abs(f.n.x.coeffs - x.coeffs)) <= 1e-11 * kappa
+        assert np.max(np.abs(f.n.p.coeffs - p.coeffs)) <= 1e-11 * kappa
+        assert np.max(np.abs(f.k.mat - k.mat)) <= 1e-11 * kappa
+    assert refused <= 25
+
+
+@pytest.mark.parametrize("t", [5.0, 6.0, 7.0, 8.0, 9.0])
+def test_iwasawa_factors_large_boosts(t):
+    f = dc.iwasawa(lg.exp_A(3, t, 1.0))
+    assert abs(f.t - t) <= 1e-12 * t
+    assert f.n.norm() <= 1e-12
+    assert np.max(np.abs(f.k.mat - np.eye(27))) <= 1e-12
+
+
+def test_iwasawa_n_matches_the_pairing_route(rng):
+    # the parameters of n from the pairings of X = g^-1 E1
+    for _ in range(20):
+        g = random_group(rng)
+        want = dc.n_pair(JordanElement(np.linalg.solve(g.mat, E1.vec)))
+        got = dc.iwasawa(g).n
+        scale = max(1.0, want.norm())
+        assert np.max(np.abs(got.x.coeffs - want.x.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(got.p.coeffs - want.p.coeffs)) <= 1e-12 * scale
+
+
+def test_gauss_z_matches_the_pairing_route(rng):
+    # z_of_X gives the lower nilpotent factor moving g P_MINUS onto the base
+    # ray, the inverse of z; the graded pivot is a quarter of the cell value
+    checked = 0
+    for _ in range(20):
+        g = random_group(rng)
+        if dc.bruhat_classify(g) != "OpenCell":
+            continue
+        try:
+            got = dc.gauss(g).z
+        except dc.DegenerateCell:
+            # classified open but too near the boundary to factor at tolerance
+            continue
+        want = dc.z_of_X(JordanElement(g.mat @ P_MINUS.vec))
+        scale = max(1.0, want.norm())
+        assert np.max(np.abs(got.x.coeffs + want.x.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(got.p.coeffs + want.p.coeffs)) <= 1e-12 * scale
+        val, _ = dc._bruhat_cell_value(g)
+        pivot = (dc._V_INV @ g.mat @ dc._V)[0, 0]
+        assert abs(pivot - 0.25 * val) <= 1e-15 * abs(val)
+        checked += 1
+    assert checked >= 10
 
 
 def test_z_of_X_moves_to_base_ray(rng):

@@ -354,6 +354,13 @@ def test_algebra_element_refuses_nan():
         lg.gen_G(1, [np.nan] * 8)
 
 
+def test_expm_refuses_nan_derivation():
+    # an unchecked NaN derivation fails the exponential's own check instead
+    # of running the series to its term limit
+    with pytest.raises(lg.VerificationError):
+        lg.expm(lg.AlgebraElement(np.full((27, 27), np.nan), check=False))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_group_element_rejects_non_finite(bad):
     mat = np.eye(27)
