@@ -329,7 +329,6 @@ def _build_parser() -> _Parser:
 
     e = sub.add_parser("eval", help="evaluate a group word")
     e.add_argument("--word", required=True, help="group word to evaluate")
-    e.add_argument("--out", choices=["json"], default="json")
     e.set_defaults(func=_cmd_eval)
 
     for name, blurb in (

@@ -8,18 +8,19 @@ Four global or open-dense factorizations of a verified 27x27 group element:
     gauss         g = z m a_t n      z lower nilpotent (open dense cell)
 
 where a_t = exp_A(3, t, 1), n = exp_N(+1, x, p), z = exp_N(-1, x, p), and m
-fixes E1, E2, E3 and F(3,1). In the eigenbasis of the torus generator a_t
-is diagonal, n and z block triangular and k orthogonal after a fixed
-scaling, so iwasawa and the closed matsuki cell are one Householder QR and
-gauss one block LDU; keps_iwasawa reads t and n from the pairings of
-g^-1 E2. The cell tests and the orbit classification on rays of the
+fixes E1, E2, E3 and F(3,1). In the eigenbasis V of the torus generator
+a_t is the diagonal diag(e^(grade t)), n and z are block triangular and k
+orthogonal after a fixed scaling, so iwasawa and the closed matsuki cell
+are one Householder QR and gauss one block LDU; keps_iwasawa reads t and n
+from the pairings of g^-1 E2. Factors are inverted as pairing adjoints
+W^-1 f^T W. The cell tests and the orbit classification on rays of the
 trace-zero negative cone are sign tests of pairings against E2 and against
 the reflected null vector h1(-1,1,0;0,0,-1).
 
 All factor records carry the max-abs reconstruction residual. The factors
-are computed as plain matrices; each factorization gates its
-reconstruction and stabilizer checks on them and verifies the group
-elements it returns (k, k_eps, m) once, as GroupElements. An overflow on
+are computed as plain matrices; each factorization certifies their product
+and stabilizer checks at one gate, group_tol * max(1, |g|_2^2), and
+verifies the group elements it returns (k, k_eps, m) once. An overflow on
 the way leaves non-finite values, refused as typed errors by these gates,
 without floating-point warnings.
 """
@@ -51,7 +52,7 @@ from .jordan import (
 from .liegroup import (
     GroupElement,
     VerificationError,
-    _CONJ,
+    _adjoint,
     _exp_N_matrix,
     _fixes,
     d4_rotate,
@@ -60,7 +61,7 @@ from .liegroup import (
     identity,
     sigma,
 )
-from .octonion import Octonion, _coerce, left_mul_matrix, right_mul_matrix
+from .octonion import Octonion
 
 __all__ = [
     "DegeneratePairing",
@@ -181,6 +182,12 @@ _V_INV = _V.T * np.abs(jordan._WEIGHTS) / _GRAM[:, None]
 _ROOT_GRAM = np.sqrt(_GRAM)
 _U, _U_INV = _V / _ROOT_GRAM, _ROOT_GRAM[:, None] * _V_INV
 _BLOCKS = (slice(0, 1), slice(1, 9), slice(9, 18), slice(18, 26), slice(26, 27))
+_GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
+
+
+def _a_matrix(t: float) -> np.ndarray:
+    """exp_A(3, t, 1) = V diag(e^(grade t)) V^-1."""
+    return (_V * np.exp(_GRADES * t)) @ _V_INV
 
 
 def _nilpotent_params(unit: np.ndarray, level: int) -> NParams:
@@ -193,45 +200,21 @@ def _nilpotent_params(unit: np.ndarray, level: int) -> NParams:
     )
 
 
-def _reconstruction_residual(parts: list[np.ndarray], g: np.ndarray) -> float:
+def _gate(g: GroupElement) -> float:
+    # factor extraction amplifies rounding by |g|_2^2; residuals stay raw
+    return group_tol() * max(1.0, g.opnorm**2)
+
+
+def _certify(parts: list[np.ndarray], g: np.ndarray, gate: float) -> float:
+    """Max-abs residual of the product of `parts` against g; a NaN or one
+    above `gate` raises VerificationError."""
     prod = parts[0]
     for part in parts[1:]:
         prod = prod @ part
-    return float(np.max(np.abs(prod - g)))
-
-
-def _conditioning(opnorm: float) -> float:
-    # factor extraction amplifies rounding noise by powers of the operator
-    # norm; internal gates scale accordingly while recorded residuals stay raw
-    return max(1.0, opnorm**2)
-
-
-# constants of exp_A(3, t, 1) as the generic builder forms them, signed
-# zeros included: the direction 1, its slot couplings, and the entries that
-# do not depend on t (the E3 diagonal and the imaginary slot-3 diagonal)
-_E0 = _coerce(1.0)
-_CR1, _CL1 = _CONJ @ right_mul_matrix(_E0), _CONJ @ left_mul_matrix(_E0)
-_A_FIXED = np.diag([0.0] * 2 + [1.0] + [0.0] * 17 + [1.0] * 7)
-_A_COSH_DIAG = (np.arange(3, 19), np.arange(3, 19))
-
-
-def _a_matrix(t: float) -> np.ndarray:
-    """exp_A(3, t, 1) in closed form: the scalar expressions of
-    `_exp_A_matrix`, written straight into their entries."""
-    c2, s2t = math.cosh(2 * t), math.sinh(2 * t)
-    c, s = math.cosh(t), math.sinh(t)
-    m = _A_FIXED.copy()
-    m[_A_COSH_DIAG] = c
-    m[0, 0] = m[1, 1] = 0.5 * (1 + c2)
-    m[0, 1] = m[1, 0] = 0.5 * (1 - c2)
-    m[19, 19] = 1.0 + 2 * s * s
-    m[0, 19:27] = -s2t * _E0
-    m[1, 19:27] = s2t * _E0
-    m[19:27, 0] = -0.5 * s2t * _E0
-    m[19:27, 1] = 0.5 * s2t * _E0
-    m[3:11, 11:19] = s * _CR1
-    m[11:19, 3:11] = s * _CL1
-    return m
+    residual = float(np.max(np.abs(prod - g)))
+    if not residual <= gate:
+        raise VerificationError(f"reconstruction residual {residual:.3e}")
+    return residual
 
 
 def n_pair(X: JordanElement) -> NParams:
@@ -283,17 +266,14 @@ def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
     if not _fixes(k, [E1], gate):
         raise VerificationError("computed k-factor does not fix E1")
     a, n = _a_matrix(t), _exp_N_matrix(1, params.x, params.p)
-    residual = _reconstruction_residual([k, a, n], g)
-    if not residual <= gate:
-        raise VerificationError(f"reconstruction residual {residual:.3e}")
-    return k, a, n, t, params, residual
+    return k, a, n, t, params, _certify([k, a, n], g, gate)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1; where k cannot be
     certified at tolerance it raises VerificationError."""
-    k, _, _, t, params, residual = _graded_iwasawa(g.mat, group_tol() * _conditioning(g.opnorm))
+    k, _, _, t, params, residual = _graded_iwasawa(g.mat, _gate(g))
     return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
@@ -312,6 +292,8 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
     try:
+        # X = g^-1 E2 by a solve, not the adjoint row g[1] / W: at A3(15;1) that
+        # row passes a k 9e8 from I through the gate, which the solve refuses
         X = JordanElement(np.linalg.solve(g.mat, E2.vec))
         params = n_pair(X)
         pair = inner(P_MINUS, X)
@@ -320,13 +302,11 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
             raise VerificationError(msg)
         t = 0.5 * math.log(pair)
         n, a = _exp_N_matrix(1, params.x, params.p), _a_matrix(t)
-        k = g.mat @ np.linalg.inv(n) @ np.linalg.inv(a)
-        gate = group_tol() * _conditioning(g.opnorm)
+        k = g.mat @ _adjoint(n) @ _a_matrix(-t)
+        gate = _gate(g)
         if not _fixes(k, [E2], gate):
             raise VerificationError("computed k_eps-factor does not fix E2")
-        residual = _reconstruction_residual([k, a, n], g.mat)
-        if residual > gate:
-            raise VerificationError(f"reconstruction residual {residual:.3e}")
+        residual = _certify([k, a, n], g.mat, gate)
         k_eps = GroupElement(k)
     except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
@@ -389,17 +369,13 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
     kprime = d4_rotate(2, Octonion(x2v / r), Octonion.one())
     c = closed_cell_rep()
-    # c^-1 = W^-1 c^T W, which transposes and scales by powers of two
-    c_inv = c.mat.T * jordan._WEIGHTS / jordan._WEIGHTS[:, None]
-    gate = group_tol() * _conditioning(g.opnorm)
-    m, a, n, t, params, _ = _graded_iwasawa(c_inv @ kprime.mat @ g.mat, gate)
+    gate = _gate(g)
+    m, a, n, t, params, _ = _graded_iwasawa(_adjoint(c.mat) @ kprime.mat @ g.mat, gate)
     m = GroupElement(m)
     if not _fixes(m.mat, _M_TARGETS, gate):
         raise VerificationError("closed-cell m-factor fails the M stabilizer check")
     k_eps = kprime.inv()
-    residual = _reconstruction_residual([k_eps.mat, c.mat, m.mat, a, n], g.mat)
-    if not residual <= gate:
-        raise VerificationError(f"reconstruction residual {residual:.3e}")
+    residual = _certify([k_eps.mat, c.mat, m.mat, a, n], g.mat, gate)
     return MatsukiFactors(
         cell="Closed", k_eps=k_eps, w=True, m=m, t=t, n=params, residual=residual
     )
@@ -466,18 +442,15 @@ def gauss(g: GroupElement) -> GaussFactors:
     try:
         mg = _graded_m(gp)
         m = _V @ mg @ _V_INV
-        gate = group_tol() * _conditioning(g.opnorm)
+        gate = _gate(g)
         if not _fixes(m, _M_TARGETS, gate):
             raise VerificationError("m-factor fails the M stabilizer check")
         # multiplied out in graded coordinates, where the large entries of z
-        # and n do not cancel in the product as they do in standard ones
-        zg, ag, ng = (
-            _V_INV @ f @ _V
-            for f in (_exp_N_matrix(-1, *z_params), _a_matrix(t), _exp_N_matrix(1, *n_params))
-        )
-        residual = _reconstruction_residual([_V, zg, mg, ag, ng, _V_INV], g.mat)
-        if not residual <= gate:
-            raise VerificationError(f"reconstruction residual {residual:.3e}")
+        # and n do not cancel in the product as they do in standard ones;
+        # there a_t scales the columns of m' by e^(grade t)
+        zg = _V_INV @ _exp_N_matrix(-1, *z_params) @ _V
+        ng = _V_INV @ _exp_N_matrix(1, *n_params) @ _V
+        residual = _certify([_V, zg, mg * np.exp(_GRADES * t), ng, _V_INV], g.mat, gate)
         m = GroupElement(m)
     except VerificationError as exc:
         # inside the open cell but too near its boundary for the factors to

@@ -32,8 +32,10 @@ decides as the SVD gate would; `opnorm` is computed on first read. `verify` and
 and form them as plain matrix products on two cached layouts of
 `jordan.mul_tensor()`. Public functions return GroupElements; the private
 `_exp_A_matrix` and `_exp_N_matrix` builders return plain matrices, which
-the factorizations and the word evaluator multiply and invert unverified,
-wrapping only the matrices they return. `identity()` and `sigma(i)` are
+the factorizations and the word evaluator multiply unverified, wrapping
+only the matrices they return. They invert by `_adjoint`: an automorphism
+keeps the trace pairing, so g^-1 = W^-1 g^T W, a transpose and exact
+scales by the pairing weights, which rounds nothing. `identity()` and `sigma(i)` are
 shared verified constants. AlgebraElement checks the derivation property
 unless built with check=False from already checked elements.
 """
@@ -225,10 +227,17 @@ class GroupElement:
         return GroupElement(self.mat @ other.mat)
 
     def inv(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.mat))
+        return GroupElement(_adjoint(self.mat))
 
     def __repr__(self):
         return f"GroupElement(residual={self.residual:.2e})"
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """W^-1 m^T W for the pairing weights W: the inverse of an automorphism m.
+    C-contiguous, so products with it round as products with any other
+    element do."""
+    return np.ascontiguousarray(m.T) * jordan._WEIGHTS / jordan._WEIGHTS[:, None]
 
 
 @functools.cache

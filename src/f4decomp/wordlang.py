@@ -5,8 +5,9 @@ the diagonal reflections S1..S3, and the slot rotations D4. Words multiply
 left to right, powers repeat a factor and negative powers invert it. The
 printer emits a canonical form whose parse returns an equal tree.
 
-Evaluation multiplies and inverts the verified atom matrices as plain
-arrays and verifies the word's value once.
+Evaluation multiplies the verified atom matrices as plain arrays, inverts
+by the pairing adjoint W^-1 g^T W, which rounds nothing, and verifies the
+word's value once.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _eval_matrix(word: GroupWord) -> np.ndarray:
         if word.n == 0:
             return lg.identity().mat
         base = _eval_matrix(word.base)
-        return _power(base if word.n > 0 else np.linalg.inv(base), abs(word.n))
+        return _power(base if word.n > 0 else lg._adjoint(base), abs(word.n))
     if isinstance(word, Product):
         out = _eval_matrix(word.factors[0])
         for f in word.factors[1:]:

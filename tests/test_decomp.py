@@ -191,18 +191,52 @@ def test_gauss_keeps_its_typed_error_on_singular_solves():
         dc.gauss(g)
 
 
-def test_a_matrix_is_the_generic_torus_bytewise(rng):
+GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
+EPS = np.finfo(float).eps
+
+
+def test_a_matrix_matches_the_generic_torus(rng):
+    # V diag(e^(grade t)) V^-1 against the slot-3 boost of `_exp_A_matrix`
     ts = np.concatenate([
         rng.standard_normal(1000),
         rng.uniform(-300.0, 300.0, 1000),
         [0.0, -0.0, 300.0, -300.0, 5e-324, -5e-324],
     ])
     for t in ts:
-        assert dc._a_matrix(float(t)).tobytes() == lg._exp_A_matrix(3, float(t), 1.0).tobytes(), t
+        want = lg._exp_A_matrix(3, float(t), 1.0)
+        got = dc._a_matrix(float(t))
+        assert np.max(np.abs(got - want)) <= 4 * EPS * np.max(np.abs(want)), t
+    assert np.array_equal(dc._a_matrix(0.0), np.eye(27))
 
 
-GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
-EPS = np.finfo(float).eps
+INV_WORD = "(A3(5;1)*G1(0.3)*A1(0.2;1))^-1"
+
+
+def test_gauss_factors_the_adjoint_inverse():
+    # with the dense inverse this word failed the M gate as DegenerateCell
+    g = eval_word(parse(INV_WORD))
+    f = dc.gauss(g)
+    assert abs(f.t + 5.0) <= 0.1
+    assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)], tol=1e-8)
+
+
+def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
+    # every inverse of an automorphism is its pairing adjoint; only the cached
+    # coordinate basis change inverts a matrix
+    jordan.coord_basis_matrix()
+
+    def refuse(*_):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    g = eval_word(parse("(A3(0.3;1)*G1(0.2)*A1(0.2;1))^-1"))
+    assert np.max(np.abs((g @ g.inv()).mat - np.eye(27))) <= 1e-12
+    dc.iwasawa(g)
+    dc.keps_iwasawa(g)
+    assert dc.matsuki(g).cell == "Open"
+    closed = dc.closed_cell_rep() @ random_m(rng) @ lg.exp_A(3, 0.4, 1.0)
+    assert dc.matsuki(closed).cell == "Closed"
+    dc.gauss(g)
 
 
 def test_graded_basis_identities():

@@ -404,6 +404,9 @@ def test_inverse_and_apply(rng):
     g = lg.exp_A(2, 0.3, random_unit(rng))
     gi = g.inv()
     assert np.max(np.abs((g @ gi).mat - np.eye(27))) <= 1e-12
+    # the pairing adjoint W^-1 g^T W, formed without rounding
+    W = jordan._WEIGHTS
+    assert np.array_equal(gi.mat, np.diag(1 / W) @ g.mat.T @ np.diag(W))
     X = JordanElement(rng.standard_normal(27))
     assert np.max(np.abs(g.apply(X).vec - g.mat @ X.vec)) == 0.0
 

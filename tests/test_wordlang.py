@@ -176,6 +176,12 @@ def test_small_powers_match_repeated_products(base):
         assert got.residual == want.residual
 
 
+def test_inverse_of_a_large_boost_stays_an_automorphism():
+    # a dense inverse of this word has automorphism residual 4.1e-4
+    g = eval_word(parse("(A3(5;1)*G1(0.3)*A1(0.2;1))^-1"))
+    assert g.residual <= 1e-6
+
+
 def test_large_power_by_squaring():
     start = time.perf_counter()
     g = eval_word(parse("S1^100000001"))
