@@ -209,22 +209,12 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr.reshape(27, 27)
 
 
-def _cmd_eval(args) -> int:
-    print(_canon(element_json(_eval(args.word))))
-    return 0
-
-
-def _make_factor_cmd(op: str):
+def _word_cmd(op: str):
     def cmd(args) -> int:
         print(_canon(_OPS[op](_eval(args.word))))
         return 0
 
     return cmd
-
-
-def _cmd_classify(args) -> int:
-    print(_canon(classify_json(_eval(args.word))))
-    return 0
 
 
 def _cmd_cfunction(args) -> int:
@@ -327,23 +317,17 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="f4decomp", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    e = sub.add_parser("eval", help="evaluate a group word")
-    e.add_argument("--word", required=True, help="group word to evaluate")
-    e.set_defaults(func=_cmd_eval)
-
-    for name, blurb in (
-        ("iwasawa", "factor a word as k a_t n"),
-        ("keps", "factor a word as k_eps a_t n on the open cell"),
-        ("matsuki", "two-cell factorization k_eps (c) m a_t n"),
-        ("gauss", "open-cell factorization z m a_t n"),
+    for name, blurb, verb in (
+        ("eval", "evaluate a group word", "evaluate"),
+        ("iwasawa", "factor a word as k a_t n", "factor"),
+        ("keps", "factor a word as k_eps a_t n on the open cell", "factor"),
+        ("matsuki", "two-cell factorization k_eps (c) m a_t n", "factor"),
+        ("gauss", "open-cell factorization z m a_t n", "factor"),
+        ("classify", "cell and orbit labels of a word", "classify"),
     ):
         s = sub.add_parser(name, help=blurb)
-        s.add_argument("--word", required=True, help="group word to factor")
-        s.set_defaults(func=_make_factor_cmd(name))
-
-    c = sub.add_parser("classify", help="cell and orbit labels of a word")
-    c.add_argument("--word", required=True, help="group word to classify")
-    c.set_defaults(func=_cmd_classify)
+        s.add_argument("--word", required=True, help=f"group word to {verb}")
+        s.set_defaults(func=_word_cmd(name))
 
     cf = sub.add_parser("cfunction", help="spectral density denominator")
     cf.add_argument(

@@ -8,12 +8,12 @@ Four global or open-dense factorizations of a verified 27x27 group element:
     gauss         g = z m a_t n      z lower nilpotent (open dense cell)
 
 where a_t = exp_A(3, t, 1), n = exp_N(+1, x, p), z = exp_N(-1, x, p), and m
-fixes E1, E2, E3 and F(3,1). In the eigenbasis V of the torus generator
-a_t is the diagonal diag(e^(grade t)), n and z are block triangular and k
-orthogonal after a fixed scaling, so iwasawa and the closed matsuki cell
-are one Householder QR and gauss one block LDU; keps_iwasawa reads t and n
-from the pairings of g^-1 E2. Factors are inverted as pairing adjoints
-W^-1 f^T W. The cell tests and the orbit classification on rays of the
+fixes E1, E2, E3 and F(3,1). In jordan's graded basis V, the eigenbasis
+of the torus generator, a_t is the diagonal diag(e^(grade t)), n and z are
+block triangular and k orthogonal after a fixed scaling, so iwasawa and the
+closed matsuki cell are one Householder QR and gauss one block LDU;
+keps_iwasawa reads t and n from the pairings of g^-1 E2. Factors are
+inverted as pairing adjoints W^-1 f^T W. The cell tests and the orbit classification on rays of the
 trace-zero negative cone are sign tests of pairings against E2 and against
 the reflected null vector h1(-1,1,0;0,0,-1).
 
@@ -45,7 +45,10 @@ from .jordan import (
     P13_MINUS,
     P_MINUS,
     SIGMA_P_MINUS,
-    coords,
+    _GRADES,
+    _GRAM,
+    _V,
+    _V_INV,
     inner,
     ray_rep,
 )
@@ -157,32 +160,13 @@ def closed_cell_rep() -> GroupElement:
     return exp_A(1, -0.5 * math.pi, 1.0)
 
 
-def _graded_basis() -> np.ndarray:
-    """Integer eigenvectors of the torus generator gen_A(3, 1) as columns, in
-    descending grade: 2, 1 (x8), 0 (x9), -1 (x8), -2."""
-    j = np.arange(8)
-    s = np.where(j == 0, 1.0, -1.0)  # sign of e_{11+j} against e_{3+j}
-    V = np.zeros((27, 27))
-    V[[0, 1, 19, 0, 1, 19], [0, 0, 0, 26, 26, 26]] = 1.0, -1.0, -1.0, 1.0, -1.0, 1.0
-    V[3 + j, 1 + j] = V[3 + j, 18 + j] = 1.0
-    V[11 + j, 1 + j], V[11 + j, 18 + j] = s, -s
-    V[[0, 1, 2, *range(20, 27)], [9, 9, *range(10, 18)]] = 1.0
-    return V
-
-
-# Graded coordinates g' = V^-1 g V. The columns of V are orthogonal for |W|
-# (W the pairing weights), with squared norms G = 4, 4 (x8), 2, 1, 2 (x7),
-# 4 (x8), 4, so V^-1 = G^-1 V^T |W| has entries 0, +-1/4, +-1/2, +-1. There
-# a_t is diagonal, N^+ block upper and N^- block lower unipotent over the
-# grade blocks, and an element k' of the stabilizer of E1 keeps G, so
-# k'^-1 = G^-1 k'^T G and k' is orthogonal once scaled by sqrt(G).
-_V = _graded_basis()
-_GRAM = np.einsum("ij,i,ij->j", _V, np.abs(jordan._WEIGHTS), _V)
-_V_INV = _V.T * np.abs(jordan._WEIGHTS) / _GRAM[:, None]
+# Graded coordinates g' = V^-1 g V over jordan's graded basis V. There a_t is
+# diagonal, N^+ block upper and N^- block lower unipotent over the grade
+# blocks, and an element k' of the stabilizer of E1 keeps the Gram diagonal G,
+# so k'^-1 = G^-1 k'^T G and k' is orthogonal once scaled by sqrt(G).
 _ROOT_GRAM = np.sqrt(_GRAM)
 _U, _U_INV = _V / _ROOT_GRAM, _ROOT_GRAM[:, None] * _V_INV
 _BLOCKS = (slice(0, 1), slice(1, 9), slice(9, 18), slice(18, 26), slice(26, 27))
-_GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
 
 
 def _a_matrix(t: float) -> np.ndarray:
@@ -220,15 +204,16 @@ def _certify(parts: list[np.ndarray], g: np.ndarray, gate: float) -> float:
 def n_pair(X: JordanElement) -> NParams:
     """Nilpotent parameters normalizing X; defined when (P_MINUS|X) != 0.
 
-    The first parameter is the antisymmetric off-diagonal coefficient divided
-    by the (-E1+E2)-coefficient, the second the imaginary slot-3 coefficient
-    divided by (P_MINUS|X).
+    Read off the graded coordinates c = V^-1 X: with r = -2 c_26, half of
+    (P_MINUS|X), x is the Qminus part c[18:26] over r and Im p the F(3, .)
+    part c[11:18] over 2r.
     """
-    cv = coords(X)
-    pair = 2.0 * cv.r
+    c = _V_INV @ X.vec
+    r = -2.0 * c[26]
+    pair = 2.0 * r
     if abs(pair) <= member_tol() * max(1.0, X.norm()):
         raise DegeneratePairing(f"(P_MINUS|X) = {pair:.3e} is below tolerance")
-    return NParams(cv.y / cv.r, cv.p / pair)
+    return NParams(Octonion(c[18:26] / r), Octonion.from_imag7(c[11:18] / pair))
 
 
 def nx_closed_form(X: JordanElement) -> JordanElement:
@@ -260,6 +245,9 @@ def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
     q, r = np.linalg.qr(_U_INV @ g @ _U)
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     top = sign[0] * r[0]
+    # R_00 = e^(2t) underflows to 0 at large negative t
+    if not 0.0 < top[0] < math.inf:
+        raise VerificationError(f"Iwasawa pivot R_00 = {top[0]:.3e} is not positive and finite")
     t = 0.5 * math.log(top[0])
     params = _nilpotent_params(top * _ROOT_GRAM / (_ROOT_GRAM[0] * top[0]), 1)
     k = _U @ (q * sign) @ _U_INV
@@ -437,6 +425,13 @@ def gauss(g: GroupElement) -> GaussFactors:
         raise VerificationError(f"(g P_MINUS|reflected) = {val:.3e} negative; positivity violated")
     t = 0.5 * math.log(0.25 * val)
     gp = _V_INV @ g.mat @ _V
+    # the cell value is 4 g'_00 in exact arithmetic, but is formed in standard
+    # coordinates, where it can pass its tolerance while g'_00 rounds to 0
+    if not 0.0 < gp[0, 0] < math.inf:
+        raise DegenerateCell(
+            f"graded pivot g'_00 = {gp[0, 0]:.3e} is not positive and finite;"
+            f" (g P_MINUS|reflected) = {val:.3e}"
+        )
     z_params = _nilpotent_params(gp[:, 0] / gp[0, 0], -1)
     n_params = _nilpotent_params(gp[0] / gp[0, 0], 1)
     try:

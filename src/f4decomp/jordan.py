@@ -21,6 +21,7 @@ quadratic adjoint (the "cross square") by polarization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,12 @@ __all__ = [
     "det",
     "jordan_mul",
     "mul_tensor",
-    "CoordView",
-    "coords",
     "OrbitMembership",
     "classify",
     "ray_rep",
     "s15_from",
     "s15_to",
     "basis27",
-    "coord_basis",
-    "coord_basis_matrix",
 ]
 
 # pairing weights per coordinate: diagonal 1, first slot +2, twisted slots -2
@@ -224,9 +221,7 @@ def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
     return JordanElement(vec)
 
 
-_MUL_TENSOR_CACHE: np.ndarray | None = None
-
-
+@functools.cache
 def mul_tensor() -> np.ndarray:
     """(27,27,27) tensor J with (e_i o e_j)_k = J[i,j,k] over basis27.
 
@@ -234,20 +229,17 @@ def mul_tensor() -> np.ndarray:
     cross_square over the stacked rows e_i + e_j, and the trace terms need
     trace(e_i), trace(e_j) and (e_i|e_j) only.
     """
-    global _MUL_TENSOR_CACHE
-    if _MUL_TENSOR_CACHE is None:
-        eye = np.eye(27)
-        X = np.repeat(eye, 27, axis=0)  # row 27 i + j is e_i ...
-        Y = np.tile(eye, (27, 1))  # ... and e_j
-        sq = cross_square(eye)
-        c = 0.5 * (cross_square(X + Y) - np.repeat(sq, 27, axis=0) - np.tile(sq, (27, 1)))
-        tx, ty = X[:, :3].sum(axis=1), Y[:, :3].sum(axis=1)
-        pair = (tx * ty - (X * _WEIGHTS * Y).sum(axis=1))[:, None]
-        J = c + 0.5 * (tx[:, None] * Y + ty[:, None] * X - pair * E.vec)
-        J = J.reshape(27, 27, 27)
-        J.setflags(write=False)
-        _MUL_TENSOR_CACHE = J
-    return _MUL_TENSOR_CACHE
+    eye = np.eye(27)
+    X = np.repeat(eye, 27, axis=0)  # row 27 i + j is e_i ...
+    Y = np.tile(eye, (27, 1))  # ... and e_j
+    sq = cross_square(eye)
+    c = 0.5 * (cross_square(X + Y) - np.repeat(sq, 27, axis=0) - np.tile(sq, (27, 1)))
+    tx, ty = X[:, :3].sum(axis=1), Y[:, :3].sum(axis=1)
+    pair = (tx * ty - (X * _WEIGHTS * Y).sum(axis=1))[:, None]
+    J = c + 0.5 * (tx[:, None] * Y + ty[:, None] * X - pair * E.vec)
+    J = J.reshape(27, 27, 27)
+    J.setflags(write=False)
+    return J
 
 
 def basis27() -> list[JordanElement]:
@@ -260,74 +252,36 @@ def basis27() -> list[JordanElement]:
     return out
 
 
-# Adapted coordinates: every element decomposes uniquely as
-#   X = r(-E1+E2) + s P^- + u E + v E3 + F(3, p) + Qplus(x) + Qminus(y)
-# with p purely imaginary. These coordinates diagonalize the nilpotent
-# one-parameter subgroups used by the factorizations.
+# The graded basis V: integer eigenvectors of the torus generator
+# gen_A(3, 1) as columns, in descending grade 2, 1 (x8), 0 (x9), -1 (x8), -2:
+#   [-P^-, Qplus(e0..e7), E1+E2, E3, F(3,e1..e7), Qminus(e0..e7), P^+].
+# The columns are orthogonal for |W| (W the pairing weights), with squared
+# norms _GRAM = 4, 4 (x8), 2, 1, 2 (x7), 4 (x8), 4, so the exact inverse is
+# V^-1 = _GRAM^-1 V^T |W|, with entries 0, +-1/4, +-1/2, +-1. The torus, the
+# nilpotent groups and the factorizations are all read off this grading.
 
 
-@dataclass
-class CoordView:
-    r: float
-    s: float
-    u: float
-    v: float
-    p: Octonion  # imaginary part only
-    x: Octonion
-    y: Octonion
-
-    def to_element(self) -> JordanElement:
-        base = (
-            self.r * (E2 - E1).vec
-            + self.s * P_MINUS.vec
-            + self.u * E.vec
-            + self.v * E3.vec
-        )
-        elem = JordanElement(base)
-        elem = elem + F(3, self.p) + Qplus(self.x) + Qminus(self.y)
-        return elem
+def _graded_basis() -> np.ndarray:
+    units = np.eye(8)
+    cols = [
+        -P_MINUS.vec,
+        *(Qplus(u).vec for u in units),
+        (E1 + E2).vec,
+        E3.vec,
+        *(F(3, u).vec for u in units[1:]),
+        *(Qminus(u).vec for u in units),
+        P_PLUS.vec,
+    ]
+    # + 0.0 turns the negated zeros of -P^- and the conjugates into +0.0
+    return np.column_stack(cols) + 0.0
 
 
-def coords(X: JordanElement) -> CoordView:
-    xi1, xi2, xi3 = X.vec[:3]
-    x1, x2, x3 = X.vec[3:11], X.vec[11:19], X.vec[19:27]
-    s = float(x3[0])
-    p = x3.copy()
-    p[0] = 0.0
-    x = 0.5 * (x1 + oct.conj_vec(x2))
-    y = 0.5 * (x1 - oct.conj_vec(x2))
-    u = 0.5 * (xi1 + xi2)
-    r = 0.5 * (xi2 - xi1) - s
-    v = xi3 - u
-    return CoordView(r=r, s=s, u=u, v=v, p=Octonion(p), x=Octonion(x), y=Octonion(y))
-
-
-def coord_basis() -> list[JordanElement]:
-    """Basis adapted to the nilpotent action, in the fixed order
-    [-E1+E2, P^-, E, E3, F(3,e1..e7), Qplus(e0..e7), Qminus(e0..e7)]."""
-    out = [E2 - E1, P_MINUS.copy(), E.copy(), E3.copy()]
-    for j in range(1, 8):
-        out.append(F(3, Octonion.unit(j)))
-    for j in range(8):
-        out.append(Qplus(Octonion.unit(j)))
-    for j in range(8):
-        out.append(Qminus(Octonion.unit(j)))
-    return out
-
-
-_COORD_MATRIX_CACHE: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def coord_basis_matrix() -> tuple[np.ndarray, np.ndarray]:
-    """(B, Binv): columns of B are coord_basis() in standard coordinates."""
-    global _COORD_MATRIX_CACHE
-    if _COORD_MATRIX_CACHE is None:
-        B = np.column_stack([b.vec for b in coord_basis()])
-        Binv = np.linalg.inv(B)
-        B.setflags(write=False)
-        Binv.setflags(write=False)
-        _COORD_MATRIX_CACHE = (B, Binv)
-    return _COORD_MATRIX_CACHE
+_V = _graded_basis()
+_GRADES = np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 8, 9, 8, 1])
+_GRAM = np.einsum("ij,i,ij->j", _V, np.abs(_WEIGHTS), _V)
+_V_INV = _V.T * np.abs(_WEIGHTS) / _GRAM[:, None]
+for _a in (_V, _GRADES, _GRAM, _V_INV):
+    _a.setflags(write=False)
 
 
 @dataclass

@@ -354,14 +354,15 @@ def _sigma1() -> np.ndarray:
     return sigma(1).mat
 
 
-# Nilpotent generators. Their actions are linear on the adapted basis
-# [ -E1+E2, P^-, E, E3, F(3,e1..e7), Qplus(e0..e7), Qminus(e0..e7) ];
-# the matrix in standard coordinates is C(B^-1) where the columns of C are
-# the images of the adapted basis vectors. C is filled in standard
-# coordinates one column block at a time; Q+-(c) puts c in slot 1 and
-# +-conj(c) in slot 2. Each generator forms seven octonion products, with
-# the imaginary units, through Octonion.__mul__, where the benchmark's traced
-# octonion layer times them.
+# Nilpotent generators. Their actions are linear on jordan's graded basis
+# [ -P^-, Qplus(e0..e7), E1+E2, E3, F(3,e1..e7), Qminus(e0..e7), P^+ ]; the
+# matrix in standard coordinates is C V^-1, where the columns of C are the
+# images of the graded basis vectors. Both generators kill E and P^-, so
+# E1+E2 = E - E3 maps to minus the image of E3 and P^+ = P^- - 2(-E1+E2) to
+# -2 times that of -E1+E2. C is filled in standard coordinates one column
+# block at a time; Q+-(c) puts c in slot 1 and +-conj(c) in slot 2. Each
+# generator forms seven octonion products, with the imaginary units, through
+# Octonion.__mul__, where the benchmark's traced octonion layer times them.
 
 _UNITS = tuple(oct.Octonion.unit(j) for j in range(8))
 _IMAG_DIAG = (np.arange(1, 8), np.arange(1, 8))
@@ -418,12 +419,12 @@ def _exp_N_matrix(level: int, x, p) -> np.ndarray:
 def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
     x = oct.Octonion(xv)
     C = np.zeros((27, 27))
-    _put_Q(C, slice(0, 1), -xv[None], -1.0)
-    _put_Q(C, slice(3, 4), xv[None])
+    C[:, 1:9] = np.outer(P_MINUS.vec, 2 * xv)
+    _put_Q(C, slice(9, 10), -xv[None])
+    _put_Q(C, slice(10, 11), xv[None])
     ex = np.stack([(u * x).coeffs for u in _UNITS[1:]])  # e_j x, j = 1..7
-    _put_Q(C, slice(4, 11), -ex)
-    C[:, 11:19] = np.outer(P_MINUS.vec, 2 * xv)
-    C[:, 19:27] = np.outer(_E_M3, 2 * xv)
+    _put_Q(C, slice(11, 18), -ex)
+    C[:, 18:26] = np.outer(_E_M3, 2 * xv)
     # x conj(e_j) = -2 x_0 e_j - conj(e_j x) for j >= 1, and x 1 = x; unit
     # products are signed permutations, so both sides agree exactly
     imx = np.empty((8, 8))
@@ -431,19 +432,20 @@ def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
     imx[1:] = -oct.conj_vec(ex)
     imx[_IMAG_DIAG] -= 2 * xv[0]
     imx[:, 0] = 0.0
-    C[19:27, 19:27] += (2 * imx).T
-    return C @ jordan.coord_basis_matrix()[1]
+    C[19:27, 18:26] += (2 * imx).T
+    _put_Q(C, slice(26, 27), 2 * xv[None], -1.0)
+    return C @ jordan._V_INV
 
 
 def _gen_G2_matrix(pv: np.ndarray) -> np.ndarray:
     p = oct.Octonion(pv)
     C = np.zeros((27, 27))
-    C[19:27, 0] = -2 * pv
-    C[:, 4:11] = np.outer(P_MINUS.vec, -2 * pv[1:])
+    C[:, 11:18] = np.outer(P_MINUS.vec, -2 * pv[1:])
     # p 1 = p; the other seven are products with imaginary units
     rows = np.stack([pv] + [(p * u).coeffs for u in _UNITS[1:]])
-    _put_Q(C, slice(19, 27), -2 * rows)
-    return C @ jordan.coord_basis_matrix()[1]
+    _put_Q(C, slice(18, 26), -2 * rows)
+    C[19:27, 26] = 4 * pv
+    return C @ jordan._V_INV
 
 
 def gen_G(level: int, param) -> AlgebraElement:
@@ -505,34 +507,34 @@ def expm(phi: AlgebraElement) -> GroupElement:
 # gen_A(i, e_j) plus 28 commutators [gen_A(3, e_j), gen_A(3, e_k)] spanning
 # the rank-four rotation subalgebra. SVD rank is checked loudly.
 
-_BASIS52_CACHE: list[AlgebraElement] | None = None
-_BASIS52_PINV: np.ndarray | None = None
+@functools.cache
+def _basis52() -> tuple[list[AlgebraElement], np.ndarray]:
+    """The basis and the pseudo-inverse that reads coordinates over it."""
+    out = []
+    for i in (1, 2, 3):
+        for j in range(8):
+            out.append(gen_A(i, oct.Octonion.unit(j)))
+    slot3 = [gen_A(3, oct.Octonion.unit(j)) for j in range(8)]
+    for j in range(8):
+        for k in range(j + 1, 8):
+            out.append(bracket(slot3[j], slot3[k]))
+    flat = np.stack([b.mat.ravel() for b in out])
+    svals = np.linalg.svd(flat, compute_uv=False)
+    rank = int(np.sum(svals > svals[0] * 1e-9))
+    if rank != 52:
+        raise RuntimeError(f"derivation basis rank {rank}, expected 52")
+    # the pseudo-inverse is formed with the basis, not on first use: freeing
+    # its large temporaries raises glibc's dynamic mmap threshold, so that
+    # verify's 157 KB temporaries reuse heap pages instead of page-faulting
+    return out, np.linalg.pinv(flat.T)
 
 
 def basis52() -> list[AlgebraElement]:
-    global _BASIS52_CACHE, _BASIS52_PINV
-    if _BASIS52_CACHE is None:
-        out = []
-        for i in (1, 2, 3):
-            for j in range(8):
-                out.append(gen_A(i, oct.Octonion.unit(j)))
-        slot3 = [gen_A(3, oct.Octonion.unit(j)) for j in range(8)]
-        for j in range(8):
-            for k in range(j + 1, 8):
-                out.append(bracket(slot3[j], slot3[k]))
-        flat = np.stack([b.mat.ravel() for b in out])
-        svals = np.linalg.svd(flat, compute_uv=False)
-        rank = int(np.sum(svals > svals[0] * 1e-9))
-        if rank != 52:
-            raise RuntimeError(f"derivation basis rank {rank}, expected 52")
-        _BASIS52_CACHE = out
-        _BASIS52_PINV = np.linalg.pinv(flat.T)
-    return _BASIS52_CACHE
+    return _basis52()[0]
 
 
 def _coords52(mat: np.ndarray) -> np.ndarray:
-    basis52()
-    return _BASIS52_PINV @ mat.ravel()
+    return _basis52()[1] @ mat.ravel()
 
 
 def ad_matrix(phi: AlgebraElement) -> np.ndarray:
@@ -630,35 +632,30 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     return k
 
 
-_M_BASIS_CACHE: list[AlgebraElement] | None = None
-
-
+@functools.cache
 def m_basis() -> list[AlgebraElement]:
     """Numerical basis of the 21-dimensional subalgebra killing
     E1, E2, E3 and F(3, 1) (the Lie algebra of the little group M)."""
-    global _M_BASIS_CACHE
-    if _M_BASIS_CACHE is None:
-        basis = basis52()
-        H = gen_A(3, 1).mat
-        # constraints: [phi, H] = 0 (centralizes the torus) and phi E1 = 0
-        # (lies in the maximal compact subalgebra)
-        rows = []
-        for b in basis:
-            comm = b.mat @ H - H @ b.mat
-            rows.append(np.concatenate([comm.ravel(), b.mat @ E1.vec]))
-        A = np.stack(rows).T  # (729 + 27, 52)
-        U, svals, Vt = np.linalg.svd(A, full_matrices=True)
-        null_dim = int(np.sum(svals < svals[0] * 1e-9)) + (52 - len(svals))
-        if null_dim != 21:
-            raise RuntimeError(f"centralizer dimension {null_dim}, expected 21")
-        coords = Vt[-null_dim:]
-        flat = np.stack([b.mat.ravel() for b in basis])
-        out = []
-        for c in coords:
-            m = (c @ flat).reshape(27, 27)
-            out.append(AlgebraElement(m / np.linalg.norm(m), check=False))
-        _M_BASIS_CACHE = out
-    return _M_BASIS_CACHE
+    basis = basis52()
+    H = gen_A(3, 1).mat
+    # constraints: [phi, H] = 0 (centralizes the torus) and phi E1 = 0
+    # (lies in the maximal compact subalgebra)
+    rows = []
+    for b in basis:
+        comm = b.mat @ H - H @ b.mat
+        rows.append(np.concatenate([comm.ravel(), b.mat @ E1.vec]))
+    A = np.stack(rows).T  # (729 + 27, 52)
+    U, svals, Vt = np.linalg.svd(A, full_matrices=True)
+    null_dim = int(np.sum(svals < svals[0] * 1e-9)) + (52 - len(svals))
+    if null_dim != 21:
+        raise RuntimeError(f"centralizer dimension {null_dim}, expected 21")
+    coords = Vt[-null_dim:]
+    flat = np.stack([b.mat.ravel() for b in basis])
+    out = []
+    for c in coords:
+        m = (c @ flat).reshape(27, 27)
+        out.append(AlgebraElement(m / np.linalg.norm(m), check=False))
+    return out
 
 
 @dataclass

@@ -228,13 +228,14 @@ def test_factorization_overflow_is_one_json_error(capsys, cmd):
 
 @pytest.mark.parametrize(
     "word",
-    [FUZZ_NILPOTENT_WORD, "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)"],
-    ids=["fuzz-nilpotent", "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)"],
+    [FUZZ_NILPOTENT_WORD, "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)", "A3(-29.5;1)"],
+    ids=["fuzz-nilpotent", "G1(700e1)", "A3(12;1)", "A3(20;1)", "A3(30;1)", "A3(-29.5;1)"],
 )
 def test_iwasawa_refusal_is_one_json_error(capsys, word):
     # iwasawa is total: where the input has lost the small graded
-    # components k depends on, k fails its gate, which is exit 1, never the
-    # exit 2 that marks an input outside an open cell
+    # components k depends on, k or the pivot R_00 = e^(2t) fails its gate,
+    # which is exit 1, never the exit 2 that marks an input outside an open
+    # cell
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "iwasawa", "--word", word)
@@ -242,6 +243,19 @@ def test_iwasawa_refusal_is_one_json_error(capsys, word):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "VerificationError"
+
+
+@pytest.mark.parametrize("t", ["-16", "-13.25", "-12.5"])
+def test_gauss_zero_pivot_is_one_json_error(capsys, t):
+    # the cell value passes its tolerance while the graded pivot g'_00
+    # rounds to 0: refused as outside the open cell, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "gauss", "--word", f"G1(0.3)*A3({t};1)")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DegenerateCell"
 
 
 @pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])

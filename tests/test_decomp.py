@@ -17,6 +17,7 @@ from conftest import (
 from f4decomp import decomp as dc
 from f4decomp import jordan
 from f4decomp import liegroup as lg
+from f4decomp import octonion as oct
 from f4decomp.harmonic import H_nbar
 from f4decomp.jordan import E1, E2, E3, F, P13_MINUS, P_MINUS, JordanElement, inner
 from f4decomp.octonion import Octonion
@@ -75,6 +76,24 @@ def test_n_pair_closed_form(rng):
         moved = lg.exp_N(1, params.x, params.p).apply(X)
         closed = dc.nx_closed_form(X)
         assert np.max(np.abs(moved.vec - closed.vec)) <= 1e-9 * max(1.0, X.norm())
+
+
+def test_n_pair_matches_the_adapted_coordinates(rng):
+    # an independent route: with y = (x1 - conj x2) / 2 and
+    # r = (xi2 - xi1) / 2 - re x3, n_pair(X) = (y / r, Im x3 / 2r)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            v = scale * rng.standard_normal(27)
+            zero = rng.random(27) < 0.2
+            zero[[0, 1, 19]] = False  # keeps r away from 0
+            v[zero] = 0.0
+            X = JordanElement(v)
+            y = 0.5 * (v[3:11] - oct.conj_vec(v[11:19]))
+            r = 0.5 * (v[1] - v[0]) - v[19]
+            got = dc.n_pair(X)
+            assert np.array_equal(got.x.coeffs, y / r)
+            assert np.array_equal(got.p.coeffs[1:], v[20:27] / (2.0 * r))
+            assert got.p.coeffs[0] == 0.0
 
 
 def test_keps_dichotomy_and_round_trip(rng):
@@ -221,10 +240,8 @@ def test_gauss_factors_the_adjoint_inverse():
 
 
 def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
-    # every inverse of an automorphism is its pairing adjoint; only the cached
-    # coordinate basis change inverts a matrix
-    jordan.coord_basis_matrix()
-
+    # every inverse of an automorphism is its pairing adjoint, and the graded
+    # basis has a closed-form inverse: no word or factorization inverts a matrix
     def refuse(*_):
         raise AssertionError("np.linalg.inv called")
 
@@ -240,12 +257,14 @@ def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
 
 
 def test_graded_basis_identities():
-    V, V_inv = dc._V, dc._V_INV
+    V, V_inv = jordan._V, jordan._V_INV
+    assert np.array_equal(jordan._GRADES, GRADES)
     assert np.array_equal(lg.gen_A(3, 1.0).mat @ V, V * GRADES)
     assert np.array_equal(V_inv @ V, np.eye(27))
     gram = V.T @ (np.abs(jordan._WEIGHTS)[:, None] * V)
     want = np.repeat([4.0, 4.0, 2.0, 1.0, 2.0, 4.0, 4.0], [1, 8, 1, 1, 7, 8, 1])
     assert np.array_equal(gram, np.diag(want))
+    assert np.array_equal(jordan._GRAM, want)
     assert [b.stop - b.start for b in dc._BLOCKS] == [1, 8, 9, 8, 1]
 
 

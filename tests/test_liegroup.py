@@ -108,37 +108,40 @@ def test_exp_N_single_generator_matches_expm(rng, level, which):
 
 
 def _cols_to_matrix(images):
-    """Matrix whose action sends coord_basis()[c] to images[c]."""
-    _, Binv = jordan.coord_basis_matrix()
-    return np.column_stack([im.vec for im in images]) @ Binv
+    """Matrix whose action sends the graded basis column jordan._V[:, c] to
+    images[c]."""
+    return np.column_stack([im.vec for im in images]) @ jordan._V_INV
 
 
 def g1_by_columns(xv):
-    """G1(x) from its image of each adapted basis vector, one JordanElement
-    per column, in the order of jordan.coord_basis()."""
+    """G1(x) from its image of each graded basis vector, one JordanElement
+    per column: -P^-, Qplus(e0..e7), E1+E2, E3, F(3,e1..e7), Qminus(e0..e7),
+    P^+."""
     x = Octonion(xv)
     zero = JordanElement(np.zeros(27))
-    images = [Qminus(-1 * x), zero, zero, Qplus(x)]
-    for j in range(1, 8):
-        images.append(Qplus(-1 * (Octonion.unit(j) * x)))
+    images = [zero]
     for j in range(8):
         images.append(2 * oct.inner(xv, Octonion.unit(j).coeffs) * P_MINUS)
+    images += [Qplus(-1 * x), Qplus(x)]
+    for j in range(1, 8):
+        images.append(Qplus(-1 * (Octonion.unit(j) * x)))
     for j in range(8):
         y = Octonion.unit(j)
         imxy = (x * y.conj()).im()
         images.append(2 * oct.inner(xv, y.coeffs) * (E - 3 * E3) + F(3, 2 * imxy))
+    images.append(Qminus(2 * x))
     return _cols_to_matrix(images)
 
 
 def g2_by_columns(pv):
     p = Octonion(pv)
     zero = JordanElement(np.zeros(27))
-    images = [F(3, -2 * p), zero, zero, zero]
+    images = [zero] * 11
     for j in range(1, 8):
         images.append(-2 * oct.inner(pv, Octonion.unit(j).coeffs) * P_MINUS)
-    images += [zero] * 8
     for j in range(8):
         images.append(Qplus(-2 * (p * Octonion.unit(j))))
+    images.append(F(3, 4 * p))
     return _cols_to_matrix(images)
 
 
