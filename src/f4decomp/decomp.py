@@ -18,11 +18,14 @@ trace-zero negative cone are sign tests of pairings against E2 and against
 the reflected null vector h1(-1,1,0;0,0,-1).
 
 All factor records carry the max-abs reconstruction residual. The factors
-are computed as plain matrices; each factorization certifies their product
-and stabilizer checks at one gate, group_tol * max(1, |g|_2^2), and
-verifies the group elements it returns (k, k_eps, m) once. An overflow on
-the way leaves non-finite values, refused as typed errors by these gates,
-without floating-point warnings.
+are computed as plain matrices. n and z are formed from their parameters
+in graded coordinates, n' = V^-1 n V exactly block unipotent, from
+liegroup's cached generator tensor, with no octonion product; z_of_X, the
+closed-form route the tests compare gauss against, keeps the public exp_N.
+Each factorization certifies the product and stabilizer checks at one gate,
+group_tol * max(1, |g|_2^2), and verifies the group elements it returns
+(k, k_eps, m) once. An overflow on the way leaves non-finite values,
+refused as typed errors by these gates, without floating-point warnings.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from .liegroup import (
     GroupElement,
     VerificationError,
     _adjoint,
-    _exp_N_matrix,
     _fixes,
+    _graded_exp_N,
     d4_rotate,
     exp_A,
     exp_N,
@@ -253,7 +256,7 @@ def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
     k = _U @ (q * sign) @ _U_INV
     if not _fixes(k, [E1], gate):
         raise VerificationError("computed k-factor does not fix E1")
-    a, n = _a_matrix(t), _exp_N_matrix(1, params.x, params.p)
+    a, n = _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV
     return k, a, n, t, params, _certify([k, a, n], g, gate)
 
 
@@ -289,7 +292,7 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
             msg = f"pairing sign violated: (P_MINUS|X) = {pair:.3e}, expected sign +1"
             raise VerificationError(msg)
         t = 0.5 * math.log(pair)
-        n, a = _exp_N_matrix(1, params.x, params.p), _a_matrix(t)
+        n, a = _V @ _graded_exp_N(1, *params) @ _V_INV, _a_matrix(t)
         k = g.mat @ _adjoint(n) @ _a_matrix(-t)
         gate = _gate(g)
         if not _fixes(k, [E2], gate):
@@ -443,8 +446,7 @@ def gauss(g: GroupElement) -> GaussFactors:
         # multiplied out in graded coordinates, where the large entries of z
         # and n do not cancel in the product as they do in standard ones;
         # there a_t scales the columns of m' by e^(grade t)
-        zg = _V_INV @ _exp_N_matrix(-1, *z_params) @ _V
-        ng = _V_INV @ _exp_N_matrix(1, *n_params) @ _V
+        zg, ng = _graded_exp_N(-1, *z_params), _graded_exp_N(1, *n_params)
         residual = _certify([_V, zg, mg * np.exp(_GRADES * t), ng, _V_INV], g.mat, gate)
         m = GroupElement(m)
     except VerificationError as exc:

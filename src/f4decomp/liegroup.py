@@ -31,9 +31,10 @@ decides as the SVD gate would; `opnorm` is computed on first read. `verify` and
 `derivation_residual` lay both sides of the product rule out as [k, (i,j)]
 and form them as plain matrix products on two cached layouts of
 `jordan.mul_tensor()`. Public functions return GroupElements; the private
-`_exp_A_matrix` and `_exp_N_matrix` builders return plain matrices, which
-the factorizations and the word evaluator multiply unverified, wrapping
-only the matrices they return. They invert by `_adjoint`: an automorphism
+`_exp_A_matrix` and `_exp_N_matrix` builders, and `_graded_exp_N` for
+V^-1 exp_N V in jordan's graded basis, return plain matrices, which the
+factorizations and the word evaluator multiply unverified, wrapping only
+the matrices they return. They invert by `_adjoint`: an automorphism
 keeps the trace pairing, so g^-1 = W^-1 g^T W, a transpose and exact
 scales by the pairing weights, which rounds nothing. `identity()` and `sigma(i)` are
 shared verified constants. AlgebraElement checks the derivation property
@@ -360,9 +361,16 @@ def _sigma1() -> np.ndarray:
 # images of the graded basis vectors. Both generators kill E and P^-, so
 # E1+E2 = E - E3 maps to minus the image of E3 and P^+ = P^- - 2(-E1+E2) to
 # -2 times that of -E1+E2. C is filled in standard coordinates one column
-# block at a time; Q+-(c) puts c in slot 1 and +-conj(c) in slot 2. Each
-# generator forms seven octonion products, with the imaginary units, through
-# Octonion.__mul__, where the benchmark's traced octonion layer times them.
+# block at a time; Q+-(c) puts c in slot 1 and +-conj(c) in slot 2. The
+# level -1 generator is the sigma(1)-conjugate, an entrywise sign pattern.
+#
+# Two routes use them. exp_N, behind the word atoms, builds its generator per
+# call from seven octonion products with the imaginary units through
+# Octonion.__mul__: those are the only octonion products on the word path,
+# and the benchmark's traced octonion layer times them there. The
+# factorizations only need n' = V^-1 exp_N V to certify a product, and
+# V^-1 N V is linear in [x, Im p], so `_graded_exp_N` reads it off a cached
+# tensor of the 15 unit generators in graded coordinates and builds none.
 
 _UNITS = tuple(oct.Octonion.unit(j) for j in range(8))
 _IMAG_DIAG = (np.arange(1, 8), np.arange(1, 8))
@@ -405,15 +413,56 @@ def _exp_N_matrix(level: int, x, p) -> np.ndarray:
         gen = gen + _gen_G2_matrix(pv)
     if xv.any():
         gen = gen + _gen_G1_matrix(xv)
-    if level == -1:
-        s = _sigma1()
-        gen = s @ gen @ s
-    # Horner form of I + N + N^2/2 + N^3/6 + N^4/24
+    return _quartic_exp(_at_level(gen, level))
+
+
+def _graded_exp_N(level: int, x, p) -> np.ndarray:
+    """V^-1 exp_N(level, x, p) V from the cached graded generators. It is
+    block upper (level +1) or lower (level -1) unipotent over the grade
+    blocks with no rounding in the zero and identity blocks, since the
+    tensor's entries are exact and its zero pattern survives every product."""
+    if level not in (1, -1):
+        raise ValueError(f"level must be +1 or -1, got {level}")
+    v = np.concatenate([oct._coerce(x), _imO(p)[1:]])
+    return _quartic_exp((v @ _graded_generators(level)).reshape(27, 27))
+
+
+@functools.cache
+def _graded_generators(level: int) -> np.ndarray:
+    """(15, 729) rows V^-1 G V of the level generators G1(e_0..e_7) and
+    G2(e_1..e_7). Their entries are small dyadic rationals, formed exactly."""
+    units = np.eye(8)
+    gens = [_gen_G1_matrix(u) for u in units] + [_gen_G2_matrix(u) for u in units[1:]]
+    T = np.stack([jordan._V_INV @ _at_level(m, level) @ jordan._V for m in gens])
+    T = T.reshape(15, 729)
+    T.setflags(write=False)
+    return T
+
+
+def _quartic_exp(gen: np.ndarray) -> np.ndarray:
+    """exp(N) for a nilpotent N with N^5 = 0, in the Horner form of
+    I + N + N^2/2 + N^3/6 + N^4/24."""
     eye = np.eye(27)
     m = eye + gen / 4
     for k in (3, 2, 1):
         m = eye + (gen / k) @ m
     return m
+
+
+@functools.cache
+def _sigma1_signs() -> np.ndarray:
+    d = np.diag(_sigma1())
+    signs = np.outer(d, d)
+    signs.setflags(write=False)
+    return signs
+
+
+def _at_level(gen: np.ndarray, level: int) -> np.ndarray:
+    """The generator at level +-1 or +-2 from its positive-level matrix:
+    sigma(1) gen sigma(1) for a negative level is the sign pattern
+    d_i d_j of sigma(1) = diag(d) entrywise; + 0.0 gives the +0.0 entries
+    that the product by sigma(1) gives."""
+    return gen if level > 0 else gen * _sigma1_signs() + 0.0
 
 
 def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
@@ -463,12 +512,7 @@ def gen_G(level: int, param) -> AlgebraElement:
     else:
         v = oct._coerce(param)
         m = _gen_G1_matrix(v)
-    if level < 0:
-        s = _sigma1()
-        m = s @ m @ s
-    return AlgebraElement(m)
-
-
+    return AlgebraElement(_at_level(m, level))
 
 
 def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:

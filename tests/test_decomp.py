@@ -286,6 +286,47 @@ def test_nilpotent_factors_are_block_unipotent_in_graded_coordinates(rng, level)
         assert np.max(np.abs(got.p.coeffs - p.coeffs)) <= tol
 
 
+@pytest.mark.parametrize("level", [1, -1])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_graded_nilpotent_factor_matches_the_standard_route(rng, level, scale):
+    # n' from the cached graded generators against the per-call generators
+    # taken into graded coordinates; the entries are quartic in the
+    # parameters, so the gap is rounding of order eps |n'|
+    bound = (4 if scale < 1 else 64) * EPS
+    for _ in range(20):
+        x, p = random_oct(rng, scale), random_imag(rng, scale)
+        want = dc._V_INV @ lg._exp_N_matrix(level, x, p) @ dc._V
+        got = lg._graded_exp_N(level, x, p)
+        assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want)))
+        # diagonal blocks exactly I and the blocks on the far side of the
+        # diagonal exactly 0, which the V^-1 (.) V conversion gives only to
+        # rounding
+        for i, bi in enumerate(dc._BLOCKS):
+            assert np.array_equal(got[bi, bi], np.eye(bi.stop - bi.start))
+            for bj in dc._BLOCKS[:i] if level == 1 else dc._BLOCKS[i + 1:]:
+                assert not got[bi, bj].any()
+
+
+def test_factorizations_build_no_nilpotent_generator(rng, monkeypatch):
+    # n and z come from the cached graded generators; after one warm call no
+    # factorization forms a generator from octonion products
+    g = eval_word(parse("A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)*G2(0.3e4)"))
+    closed = dc.closed_cell_rep() @ random_m(rng) @ lg.exp_A(3, 0.4, 1.0)
+    closed = closed @ lg.exp_N(1, random_oct(rng), random_imag(rng))
+    dc.gauss(g)
+
+    def refuse(*_):
+        raise AssertionError("nilpotent generator built on the factorization path")
+
+    monkeypatch.setattr(lg, "_gen_G1_matrix", refuse)
+    monkeypatch.setattr(lg, "_gen_G2_matrix", refuse)
+    dc.iwasawa(g)
+    dc.keps_iwasawa(g)
+    assert dc.matsuki(g).cell == "Open"
+    assert dc.matsuki(closed).cell == "Closed"
+    dc.gauss(g)
+
+
 def test_iwasawa_known_answers(rng):
     # g = k a_t n from known factors; k is built from elements that fix E1
     refused = 0
