@@ -299,9 +299,9 @@ def keps_iwasawa(g: GroupElement) -> KEpsFactors:
             raise VerificationError("computed k_eps-factor does not fix E2")
         residual = _certify([k, a, n], g.mat, gate)
         k_eps = GroupElement(k)
-    except (DegeneratePairing, VerificationError) as exc:
+    except (DegeneratePairing, VerificationError, np.linalg.LinAlgError) as exc:
         # inside the open cell but too near its boundary for the factors to
-        # be representable at tolerance
+        # be representable at tolerance, or for the solve to succeed
         raise DegenerateCell(
             f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {exc}"
         ) from exc

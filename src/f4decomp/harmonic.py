@@ -100,13 +100,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
     max_panels: int = 1 << 14
 
-    def refined(self, factor: float = 10.0) -> "QuadratureSpec":
-        # a tighter tolerance never gets a smaller node budget
-        return QuadratureSpec(
-            rel_tol=self.rel_tol / factor,
-            max_panels=max(self.max_panels, min(self.max_panels * 2, 1000)),
-        )
-
 
 def _imaginary_check(p: Octonion, name: str) -> None:
     if abs(float(p.coeffs[0])) > 1e-12 * max(1.0, p.norm()):

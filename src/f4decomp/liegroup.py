@@ -52,7 +52,7 @@ import numpy as np
 from . import jordan
 from . import octonion as oct
 from .config import group_tol
-from .jordan import E1, E3, E, F, JordanElement, P_MINUS
+from .jordan import E3, E, F, JordanElement, P_MINUS
 
 __all__ = [
     "VerificationError",
@@ -558,7 +558,7 @@ def _basis52() -> tuple[list[AlgebraElement], np.ndarray]:
     for i in (1, 2, 3):
         for j in range(8):
             out.append(gen_A(i, oct.Octonion.unit(j)))
-    slot3 = [gen_A(3, oct.Octonion.unit(j)) for j in range(8)]
+    slot3 = out[16:24]
     for j in range(8):
         for k in range(j + 1, 8):
             out.append(bracket(slot3[j], slot3[k]))
@@ -678,27 +678,17 @@ def d4_rotate(j: int, u, v) -> GroupElement:
 
 @functools.cache
 def m_basis() -> list[AlgebraElement]:
-    """Numerical basis of the 21-dimensional subalgebra killing
-    E1, E2, E3 and F(3, 1) (the Lie algebra of the little group M)."""
-    basis = basis52()
-    H = gen_A(3, 1).mat
-    # constraints: [phi, H] = 0 (centralizes the torus) and phi E1 = 0
-    # (lies in the maximal compact subalgebra)
-    rows = []
-    for b in basis:
-        comm = b.mat @ H - H @ b.mat
-        rows.append(np.concatenate([comm.ravel(), b.mat @ E1.vec]))
-    A = np.stack(rows).T  # (729 + 27, 52)
-    U, svals, Vt = np.linalg.svd(A, full_matrices=True)
-    null_dim = int(np.sum(svals < svals[0] * 1e-9)) + (52 - len(svals))
-    if null_dim != 21:
-        raise RuntimeError(f"centralizer dimension {null_dim}, expected 21")
-    coords = Vt[-null_dim:]
-    flat = np.stack([b.mat.ravel() for b in basis])
+    """Basis of the 21-dimensional subalgebra killing E1, E2, E3 and
+    F(3, 1) (the Lie algebra of the little group M), each of unit
+    Frobenius norm: the brackets [gen_A(3, e_j), gen_A(3, e_k)] of the
+    imaginary units, 1 <= j < k <= 7, which rotate the plane of e_j and e_k
+    in slot 3 and fix its real unit. Their entries are small integers."""
+    gens = [_gen_A_matrix(3, u) for u in np.eye(8)[1:]]
     out = []
-    for c in coords:
-        m = (c @ flat).reshape(27, 27)
-        out.append(AlgebraElement(m / np.linalg.norm(m), check=False))
+    for j, a in enumerate(gens):
+        for b in gens[j + 1:]:
+            m = a @ b - b @ a
+            out.append(AlgebraElement(m / np.linalg.norm(m), check=False))
     return out
 
 
@@ -711,7 +701,7 @@ class ThetaEpsReport:
     dev_alpha: float  # single-root piece: conjugations differ by -1
     dev_2alpha: float  # double-root piece: conjugations agree
     dev_weyl: float  # sigma(1) negates the torus generator
-    grading_residual: float  # eigenprojection reconstruction error
+    grading_residual: float  # max |[H, phi_k] - k phi_k| over the pieces
 
     @property
     def max_deviation(self) -> float:
@@ -722,45 +712,28 @@ class ThetaEpsReport:
 
 
 def theta_eps_check() -> ThetaEpsReport:
+    """Checks theta_eps on the grade-k pieces of each basis52 element. The
+    grade-k piece of phi keeps the entries (i, j) of V^-1 phi V, in jordan's
+    graded basis V, with grade_i - grade_j = k; it must satisfy
+    [H, phi_k] = k phi_k for the torus generator H = gen_A(3, 1)."""
     H = gen_A(3, 1).mat
     s1 = _sigma1()
     s2 = sigma(2).mat
-    eigs = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    sign_for = {0.0: 1.0, 1.0: -1.0, -1.0: -1.0, 2.0: 1.0, -2.0: 1.0}
-    devs = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0}
+    shift = jordan._GRADES[:, None] - jordan._GRADES[None, :]
+    devs = [0.0, 0.0, 0.0]
     grad_res = 0.0
     for b in basis52():
-        stack = [b.mat]
-        for _ in range(4):
-            x = stack[-1]
-            stack.append(H @ x - x @ H)
-        parts = {}
-        for lam in eigs:
-            coeff = np.array([1.0])
-            denom = 1.0
-            for mu in eigs:
-                if mu == lam:
-                    continue
-                coeff = np.convolve(coeff, np.array([1.0, -mu]))
-                denom *= lam - mu
-            # coeff is highest-degree-first for the degree-4 polynomial
-            part = np.zeros((27, 27))
-            deg = len(coeff) - 1
-            for idx, c in enumerate(coeff):
-                part += c * stack[deg - idx]
-            parts[lam] = part / denom
-        recon = sum(parts.values()) - b.mat
-        grad_res = max(grad_res, float(np.linalg.norm(recon)))
-        for lam, part in parts.items():
-            eps = sign_for[lam]
-            lhs = s2 @ part @ s2
-            rhs = eps * (s1 @ part @ s1)
-            devs[abs(lam)] = max(devs[abs(lam)], float(np.linalg.norm(lhs - rhs)))
-    dev_weyl = float(np.linalg.norm(s1 @ H @ s1 + H))
+        graded = jordan._V_INV @ b.mat @ jordan._V
+        for k in range(-2, 3):
+            part = jordan._V @ np.where(shift == k, graded, 0.0) @ jordan._V_INV
+            grad_res = max(grad_res, float(np.linalg.norm(H @ part - part @ H - k * part)))
+            # the two conjugations differ by -1 on the single-root pieces
+            dev = s2 @ part @ s2 - (-1.0) ** k * (s1 @ part @ s1)
+            devs[abs(k)] = max(devs[abs(k)], float(np.linalg.norm(dev)))
     return ThetaEpsReport(
-        dev_zero=devs[0.0],
-        dev_alpha=devs[1.0],
-        dev_2alpha=devs[2.0],
-        dev_weyl=dev_weyl,
+        dev_zero=devs[0],
+        dev_alpha=devs[1],
+        dev_2alpha=devs[2],
+        dev_weyl=float(np.linalg.norm(s1 @ H @ s1 + H)),
         grading_residual=grad_res,
     )

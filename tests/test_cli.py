@@ -258,6 +258,22 @@ def test_gauss_zero_pivot_is_one_json_error(capsys, t):
     assert json.loads(lines[0])["error"] == "DegenerateCell"
 
 
+@pytest.mark.parametrize(
+    "cmd,word",
+    [("keps", "A3(10;1)"), ("matsuki", "A3(11;1)"), ("keps", "A3(-11;1)*G1(0.3)*A1(0.2;1)")],
+)
+def test_singular_keps_solve_is_one_json_error(capsys, cmd, word):
+    # the open-cell solve for g^-1 E2 meets an exactly singular matrix deep
+    # inside the cell: refused as too near the boundary, not as LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, cmd, "--word", word)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DegenerateCell"
+
+
 @pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])
 def test_non_finite_literal_is_one_json_error(capsys, word):
     with warnings.catch_warnings():

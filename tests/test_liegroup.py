@@ -441,6 +441,41 @@ def test_basis52_rank():
 def test_grading_multiplicities():
     rep = lg.theta_eps_check()
     assert rep.grading_residual <= 1e-9
+    assert rep.max_deviation <= 1e-12
+
+
+def test_grading_residual_sees_a_wrong_torus(monkeypatch):
+    # the pieces come from the graded basis V, so a torus generator that V
+    # does not diagonalize must show in the eigen-equation residual
+    lg.basis52()
+    noise = 1e-3 * np.random.default_rng(5).standard_normal((27, 27))
+    real = lg.gen_A
+
+    def noisy(i, a):
+        return lg.AlgebraElement(real(i, a).mat + noise, check=False)
+
+    monkeypatch.setattr(lg, "gen_A", noisy)
+    assert lg.theta_eps_check().grading_residual > 1e-6
+
+
+def test_m_basis_matches_the_centralizer_null_space():
+    # independent route: the null space over basis52 of [phi, H] = 0
+    # (centralizes the torus) and phi E1 = 0 (lies in the compact part)
+    basis = lg.basis52()
+    H = lg.gen_A(3, 1).mat
+    rows = [np.concatenate([(b.mat @ H - H @ b.mat).ravel(), b.mat @ E1.vec]) for b in basis]
+    A = np.stack(rows).T  # (729 + 27, 52)
+    _, svals, Vt = np.linalg.svd(A)
+    assert int(np.sum(svals < svals[0] * 1e-9)) == 21
+    flat = np.stack([b.mat.ravel() for b in basis])
+    ref = Vt[-21:] @ flat
+    got = np.stack([b.mat.ravel() for b in lg.m_basis()])
+    assert len(got) == 21
+    assert np.linalg.matrix_rank(np.vstack([ref, got]), tol=1e-9) == 21
+    for b in lg.m_basis():
+        assert lg.derivation_residual(b.mat) == 0.0
+        assert all(not (b.mat @ T.vec).any() for T in (E1, E2, E3, F(3, 1.0)))
+        assert abs(np.linalg.norm(b.mat) - 1.0) <= 1e-15
 
 
 def test_expm_matches_scipy(rng):
