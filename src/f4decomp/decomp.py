@@ -12,10 +12,13 @@ fixes E1, E2, E3 and F(3,1). In jordan's graded basis V, the eigenbasis
 of the torus generator, a_t is the diagonal diag(e^(grade t)), n and z are
 block triangular and k orthogonal after a fixed scaling, so iwasawa and the
 closed matsuki cell are one Householder QR and gauss one block LDU;
-keps_iwasawa reads t and n from the pairings of g^-1 E2. Factors are
-inverted as pairing adjoints W^-1 f^T W. The cell tests and the orbit classification on rays of the
-trace-zero negative cone are sign tests of pairings against E2 and against
-the reflected null vector h1(-1,1,0;0,0,-1).
+keps_iwasawa reads t from its cell value, which is e^(2t), and n from the
+pairings of g^-1 E2, the E2 row of the adjoint, with no solve. Its k_eps is
+refused where an a-priori error bound reaches 1e-8, and matsuki's open cell
+shares the result of the last element factored. Factors are inverted as
+pairing adjoints W^-1 f^T W. The cell tests and the orbit classification on
+rays of the trace-zero negative cone are sign tests of pairings against E2
+and against the reflected null vector h1(-1,1,0;0,0,-1).
 
 All factor records carry the max-abs reconstruction residual. The factors
 are computed as plain matrices. n and z are formed from their parameters
@@ -274,38 +277,73 @@ def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
     return float(Y[1]), member_tol() * float(np.linalg.norm(Y))
 
 
+# unit roundoff of double precision, and the a-priori error allowed on k_eps
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
+_KEPS_BOUND = 1e-8
+
+
+def _near_keps_boundary(val: float, why) -> DegenerateCell:
+    return DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {why}")
+
+
+@lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")
-def keps_iwasawa(g: GroupElement) -> KEpsFactors:
-    """Open-cell factorization g = k_eps a_t n with k_eps fixing E2."""
+def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
+    """g = k_eps a_t n for the last element factored at tolerances `tols`,
+    shared by keps_iwasawa and matsuki's open cell; refusals are not kept.
+    An element hashes by identity and its matrix is read-only, and the cache
+    holds the element, so the key cannot match another input.
+
+    The cell value is e^(2t) exactly, and X = g^-1 E2 the E2 row of the
+    adjoint W^-1 g^T W, which rounds nothing; n is read from the pairings of
+    X. k_eps = g n^-1 a_-t reconstructs g by construction, so no residual
+    sees its error: it is bounded a priori by u |g|_2 |n^-1|_2 e^(2|t|),
+    with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8.
+    """
     val, tol = _keps_cell_value(g)
     if abs(val) <= tol:
         raise DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is below tolerance")
+    # the bound without |n^-1|_2 >= 1, before the sign test: a cell value
+    # lost in the rounding of g P_MINUS may carry either sign
+    bound = _UNIT_ROUNDOFF * g.opnorm * max(abs(val), 1.0 / abs(val))
+    if not bound < _KEPS_BOUND:
+        raise _near_keps_boundary(
+            val, f"error bound u |g|_2 e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
+        )
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
+    t = 0.5 * math.log(val)
     try:
-        # X = g^-1 E2 by a solve, not the adjoint row g[1] / W: at A3(15;1) that
-        # row passes a k 9e8 from I through the gate, which the solve refuses
-        X = JordanElement(np.linalg.solve(g.mat, E2.vec))
+        X = JordanElement(g.mat[1] / jordan._WEIGHTS)
         params = n_pair(X)
         pair = inner(P_MINUS, X)
-        if pair <= 0.0:
-            msg = f"pairing sign violated: (P_MINUS|X) = {pair:.3e}, expected sign +1"
-            raise VerificationError(msg)
-        t = 0.5 * math.log(pair)
+        if not (pair > 0.0 and abs(0.5 * math.log(pair) - t) <= 1e-9):
+            raise VerificationError(f"(P_MINUS|X) = {pair:.3e} disagrees with t = {t:.6g}")
         n, a = _V @ _graded_exp_N(1, *params) @ _V_INV, _a_matrix(t)
-        k = g.mat @ _adjoint(n) @ _a_matrix(-t)
+        n_inv = _adjoint(n)
+        abs_n_inv = np.abs(n_inv)
+        bound *= math.sqrt(abs_n_inv.sum(axis=0).max() * abs_n_inv.sum(axis=1).max())
+        if not bound < _KEPS_BOUND:
+            raise VerificationError(
+                f"error bound u |g|_2 |n^-1| e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
+            )
+        k = g.mat @ n_inv @ _a_matrix(-t)
         gate = _gate(g)
         if not _fixes(k, [E2], gate):
             raise VerificationError("computed k_eps-factor does not fix E2")
         residual = _certify([k, a, n], g.mat, gate)
         k_eps = GroupElement(k)
-    except (DegeneratePairing, VerificationError, np.linalg.LinAlgError) as exc:
+    except (DegeneratePairing, VerificationError) as exc:
         # inside the open cell but too near its boundary for the factors to
-        # be representable at tolerance, or for the solve to succeed
-        raise DegenerateCell(
-            f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {exc}"
-        ) from exc
+        # be representable at tolerance
+        raise _near_keps_boundary(val, exc) from exc
     return KEpsFactors(k_eps=k_eps, t=t, n=params, residual=residual)
+
+
+def keps_iwasawa(g: GroupElement) -> KEpsFactors:
+    """Open-cell factorization g = k_eps a_t n with k_eps fixing E2; on or
+    too near the boundary of the cell it raises DegenerateCell."""
+    return _keps_factors(g, (group_tol(), member_tol()))
 
 
 _M_TARGETS = [E1, E2, E3, F(3, 1.0)]
@@ -321,15 +359,16 @@ def _require_shape(checks: list[tuple[str, float]], tol: float) -> None:
 def matsuki(g: GroupElement) -> MatsukiFactors:
     """Two-cell factorization g = k_eps (c) m a_t n, c the closed-cell pivot.
 
-    On the open cell this is keps_iwasawa with a trivial m. On the closed
-    cell the image of the base null vector has the shape
-    h1(-r, 0, r; 0, x2, 0) with r = |x2|; a slot-2 rotation aligns x2 with 1,
-    after which conjugating the pivot away leaves an element fixing the base
-    ray, whose own Iwasawa k-factor must land in the joint stabilizer M.
+    On the open cell this is keps_iwasawa with a trivial m, and shares its
+    result for the same element. On the closed cell the image of the base
+    null vector has the shape h1(-r, 0, r; 0, x2, 0) with r = |x2|; a slot-2
+    rotation aligns x2 with 1, after which conjugating the pivot away leaves
+    an element fixing the base ray, whose own Iwasawa k-factor must land in
+    the joint stabilizer M.
     """
     val, tol = _keps_cell_value(g)
     if abs(val) > tol:
-        f = keps_iwasawa(g)
+        f = _keps_factors(g, (group_tol(), member_tol()))
         return MatsukiFactors(
             cell="Open",
             k_eps=f.k_eps,

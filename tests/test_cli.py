@@ -260,11 +260,19 @@ def test_gauss_zero_pivot_is_one_json_error(capsys, t):
 
 @pytest.mark.parametrize(
     "cmd,word",
-    [("keps", "A3(10;1)"), ("matsuki", "A3(11;1)"), ("keps", "A3(-11;1)*G1(0.3)*A1(0.2;1)")],
+    [
+        ("keps", "A3(10;1)"),
+        ("matsuki", "A3(11;1)"),
+        ("keps", "A3(-11;1)*G1(0.3)*A1(0.2;1)"),
+        ("keps", "A3(16;1)"),
+        ("keps", "A3(19;1)"),
+        ("matsuki", "A3(16;1)"),
+    ],
 )
-def test_singular_keps_solve_is_one_json_error(capsys, cmd, word):
-    # the open-cell solve for g^-1 E2 meets an exactly singular matrix deep
-    # inside the cell: refused as too near the boundary, not as LinAlgError
+def test_keps_conditioning_refusal_is_one_json_error(capsys, cmd, word):
+    # deep inside the open cell the a-priori error bound on k_eps,
+    # u |g|_2 |n^-1| e^(2|t|), reaches 1e-8: refused as too near the
+    # boundary, never returned as factors with a wrong t
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, cmd, "--word", word)

@@ -1,6 +1,8 @@
 """Tests for the four global factorizations and the cell/orbit classifiers."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +258,20 @@ def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
     dc.gauss(g)
 
 
+def test_no_generic_solve_or_inverse_in_src():
+    # automorphisms are inverted as pairing adjoints and the graded basis has
+    # a closed-form inverse, so the library needs no generic solver
+    src = Path(dc.__file__).parent
+    pattern = re.compile(r"linalg\.(solve|inv)\b|linalg import .*\b(solve|inv)\b")
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+
+
 def test_graded_basis_identities():
     V, V_inv = jordan._V, jordan._V_INV
     assert np.array_equal(jordan._GRADES, GRADES)
@@ -363,6 +379,132 @@ def test_iwasawa_factors_large_boosts(t):
     assert abs(f.t - t) <= 1e-12 * t
     assert f.n.norm() <= 1e-12
     assert np.max(np.abs(f.k.mat - np.eye(27))) <= 1e-12
+
+
+def _keps_bound(g, n, t):
+    """u |g|_2 |n^-1| e^(2|t|), keps_iwasawa's a-priori bound on k_eps,
+    formed from known factors."""
+    n_inv = np.abs(lg._adjoint(n.mat))
+    n_inv_norm = math.sqrt(n_inv.sum(axis=0).max() * n_inv.sum(axis=1).max())
+    return 0.5 * EPS * g.opnorm * n_inv_norm * math.exp(2.0 * abs(t))
+
+
+def test_keps_and_matsuki_known_answers(rng):
+    # g = k_eps a_t n from known factors. Both calls return them within a
+    # small multiple of the a-priori bound on k_eps, or refuse
+    factored = 0
+    for _ in range(200):
+        t = rng.uniform(-12.0, 12.0)
+        x, p = random_oct(rng), random_imag(rng)
+        x = Octonion(x.coeffs * 10.0 ** rng.uniform(-3.0, 3.0) / x.norm())
+        p = Octonion(p.coeffs * 10.0 ** rng.uniform(-3.0, 3.0) / p.norm())
+        k, n = random_keps(rng), lg.exp_N(1, x, p)
+        try:
+            g = lg.GroupElement(k.mat @ lg.exp_A(3, t, 1.0).mat @ n.mat)
+        except lg.VerificationError:
+            # the rounded product is not an automorphism at tolerance
+            continue
+        bound = _keps_bound(g, n, t)
+        try:
+            f = dc.keps_iwasawa(g)
+        except dc.DegenerateCell:
+            # a refusal is a defect unless the bound nears its 1e-8 threshold
+            assert bound >= 1e-9
+            with pytest.raises((dc.DegenerateCell, dc.ShapeViolation)) as info:
+                dc.matsuki(lg.GroupElement(g.mat))
+            if info.type is dc.ShapeViolation:
+                # the cell value is lost in the rounding of g P_MINUS and
+                # reads as closed, whose shape test then fails
+                assert dc.matsuki_classify(g) == "ClosedCell"
+            continue
+        # a fresh element, so matsuki does not reuse keps_iwasawa's result
+        h = dc.matsuki(lg.GroupElement(g.mat))
+        assert h.cell == "Open"
+        for got in (f, h):
+            assert abs(got.t - t) <= 64 * bound
+            assert np.max(np.abs(got.n.x.coeffs - x.coeffs)) <= 64 * bound
+            assert np.max(np.abs(got.n.p.coeffs - p.coeffs)) <= 64 * bound
+            assert np.max(np.abs(got.k_eps.mat - k.mat)) <= 64 * bound
+        factored += 1
+    assert factored >= 15
+
+
+@pytest.mark.parametrize("op", ["keps_iwasawa", "matsuki"])
+def test_boost_sweep_has_no_wrong_answer(op):
+    # A3(t;1) for t = -30 ... 30 in steps of 0.25 is k_eps a_t n with
+    # k_eps = I and n = I: each call returns those factors or refuses
+    right = []
+    for i in range(241):
+        t = -30.0 + 0.25 * i
+        g = eval_word(parse(f"A3({t!r};1)"))
+        try:
+            f = getattr(dc, op)(g)
+        except (dc.DegenerateCell, dc.ShapeViolation):
+            continue
+        assert getattr(f, "cell", "Open") == "Open"
+        assert abs(f.t - t) <= 1e-8 and f.n.norm() <= 1e-8
+        assert np.max(np.abs(f.k_eps.mat - np.eye(27))) <= 1e-8
+        right.append(t)
+    # the a-priori bound reaches 1e-8 between |t| = 4.5 and 4.75
+    assert right == [0.25 * i for i in range(-18, 19)]
+
+
+def _assert_same_keps(f, h):
+    assert np.array_equal(f.k_eps.mat, h.k_eps.mat)
+    assert (f.t, f.residual) == (h.t, h.residual)
+    assert np.array_equal(f.n.x.coeffs, h.n.x.coeffs)
+    assert np.array_equal(f.n.p.coeffs, h.n.p.coeffs)
+
+
+def test_matsuki_shares_the_keps_factors():
+    g = eval_word(parse("A1(0.3;e2)*G1(0.1e1-0.2e3)*Gm2(0.2e5)"))
+    f = dc.matsuki(g)
+    assert f.cell == "Open"
+    h = dc.keps_iwasawa(g)
+    assert h.k_eps is f.k_eps
+    _assert_same_keps(h, dc.keps_iwasawa(lg.GroupElement(g.mat)))
+
+
+def test_keps_refusal_is_not_kept():
+    g = eval_word(parse("A3(16;1)"))
+    for _ in range(3):
+        with pytest.raises(dc.DegenerateCell):
+            dc.keps_iwasawa(g)
+        with pytest.raises(dc.DegenerateCell):
+            dc.matsuki(g)
+
+
+def test_keps_factors_follow_the_tolerance(monkeypatch):
+    g = eval_word(parse("A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"))
+    f = dc.keps_iwasawa(g)
+    # the product gates refuse at a tolerance below rounding
+    monkeypatch.setenv("F4DECOMP_TOL", "1e-30")
+    with pytest.raises(dc.DegenerateCell):
+        dc.keps_iwasawa(g)
+    with pytest.raises(dc.DegenerateCell):
+        dc.matsuki(g)
+    monkeypatch.setenv("F4DECOMP_TOL", "1e-6")
+    h = dc.keps_iwasawa(g)
+    assert h is not f
+    _assert_same_keps(f, h)
+    monkeypatch.delenv("F4DECOMP_TOL")
+    assert dc.keps_iwasawa(g) is not h
+
+
+def test_keps_factors_are_kept_per_element():
+    g1 = eval_word(parse("A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"))
+    g2 = eval_word(parse("Gm1(0.2e2+0.1e4)*A3(0.35;1)"))
+    f1 = dc.keps_iwasawa(g1)
+    f2 = dc.keps_iwasawa(g2)
+    assert f2.t != f1.t
+    _assert_same_keps(f2, dc.keps_iwasawa(lg.GroupElement(g2.mat)))
+    # an element with the same matrix is another element: recomputed, equal
+    same = lg.GroupElement(g1.mat)
+    h = dc.keps_iwasawa(same)
+    assert h is not f1
+    _assert_same_keps(f1, h)
+    m = dc.matsuki(g2)
+    assert m.t == f2.t and np.array_equal(m.k_eps.mat, f2.k_eps.mat)
 
 
 def test_iwasawa_n_matches_the_pairing_route(rng):
