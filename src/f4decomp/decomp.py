@@ -445,8 +445,9 @@ def _graded_m(gp: np.ndarray) -> np.ndarray:
         if not c2 > 0.0:
             raise VerificationError("a diagonal block of the graded LDU is singular")
         m[b, b] = d / math.sqrt(c2)
-        rest = slice(b.stop, 27)
-        A[rest, rest] -= A[rest, b] @ (d.T * gram / gram[:, None] / c2) @ A[b, rest]
+        if b.stop < 27:  # the Schur update after the last block is empty
+            rest = slice(b.stop, 27)
+            A[rest, rest] -= A[rest, b] @ (d.T * gram / gram[:, None] / c2) @ A[b, rest]
     return m
 
 

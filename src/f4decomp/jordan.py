@@ -119,7 +119,8 @@ class JordanElement:
         return bool(np.array_equal(self.vec, other.vec))
 
     def __hash__(self):
-        return hash(self.vec.tobytes())
+        # + 0.0 turns -0.0 into 0.0: equal elements hash equal
+        return hash((self.vec + 0.0).tobytes())
 
     def __repr__(self):
         xs = ", ".join(oct.format_octonion(self.slot(i)) for i in (1, 2, 3))

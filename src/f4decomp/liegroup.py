@@ -28,10 +28,12 @@ property on all basis pairs and refuses non-finite matrices. The gate is
 tried first on the largest squared column norm, a lower bound of |m|_2^2,
 and falls back to the SVD norm only where that bound does not pass, so it
 decides as the SVD gate would; `opnorm` is computed on first read. `verify` and
-`derivation_residual` lay both sides of the product rule out as [k, (i,j)]
-and form them as plain matrix products on two cached layouts of
-`jordan.mul_tensor()`. Public functions return GroupElements; the private
-`_exp_A_matrix` and `_exp_N_matrix` builders, and `_graded_exp_N` for
+`derivation_residual` lay both sides of the product rule out as [k, (i,j)],
+form them as plain matrix products on two cached layouts of
+`jordan.mul_tensor()`, and subtract in place: a call holds at most two
+27x729 temporaries (157 KB each) and leaves its input untouched. Public
+functions return GroupElements; the private `_exp_A_matrix` and
+`_exp_N_matrix` builders, and `_graded_exp_N` for
 V^-1 exp_N V in jordan's graded basis, return plain matrices, which the
 factorizations and the word evaluator multiply unverified, wrapping only
 the matrices they return. They invert by `_adjoint`: an automorphism
@@ -102,6 +104,13 @@ def _mul_layouts() -> tuple[np.ndarray, np.ndarray]:
     return Jc, Jk
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a real array without its dispatch: the same root
+    of the same dot product over x.ravel(order="K"), so the same bits."""
+    v = x.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
 def verify(mat: np.ndarray) -> float:
     """Automorphism residual: max over basis pairs of
     |g(b_i o b_j) - g b_i o g b_j|, plus |gE - E|."""
@@ -109,15 +118,16 @@ def verify(mat: np.ndarray) -> float:
     if g.shape != (27, 27):
         raise ValueError(f"need a 27x27 matrix, got {g.shape}")
     Jc, Jk = _mul_layouts()
-    # both sides laid out [k, (i,j)]: left = g(b_i o b_j), and right sums
-    # g[a,i] J[a,b,k] g[b,j] as one GEMM then 27 batched ones
-    left = g @ Jc
+    # both sides laid out [k, (i,j)]: right sums g[a,i] J[a,b,k] g[b,j] as
+    # one GEMM then 27 batched ones, and left = g(b_i o b_j) takes the
+    # difference in place, so at most two 27x729 arrays are alive at once
     right = np.matmul(g.T, (Jk @ g).reshape(27, 27, 27)).reshape(27, 729)
-    diff = left - right
+    diff = g @ Jc
+    diff -= right
     # sqrt is monotone and correctly rounded: the root of the largest
     # squared column is the largest root
     pair_res = math.sqrt(float(np.einsum("kc,kc->c", diff, diff).max()))
-    unit_res = float(np.linalg.norm(g @ E.vec - E.vec))
+    unit_res = _norm(g @ E.vec - E.vec)
     return pair_res + unit_res
 
 
@@ -126,12 +136,14 @@ def derivation_residual(mat: np.ndarray) -> float:
     D = np.asarray(mat, dtype=float)
     if D.shape != (27, 27):
         raise ValueError(f"need a 27x27 matrix, got {D.shape}")
-    Jc, _ = _mul_layouts()
-    left = (D @ Jc).reshape(27, 27, 27)  # [k, i, j]
-    # U[i,j,k] = (Db_i o b_j)_k; the product is commutative, so
-    # (b_i o Db_j)_k = U[j,i,k]
-    U = (D.T @ jordan.mul_tensor().reshape(27, 729)).reshape(27, 27, 27)
-    diff = left - U.transpose(2, 0, 1) - U.transpose(2, 1, 0)
+    Jc, Jk = _mul_layouts()
+    # X[k,i,j] = (b_i o Db_j)_k; the product is commutative, so
+    # (Db_i o b_j)_k = X[k,j,i]. Both are subtracted in place from
+    # diff[k,i,j] = (D(b_i o b_j))_k
+    X = (Jk @ D).reshape(27, 27, 27)
+    diff = (D @ Jc).reshape(27, 27, 27)
+    diff -= X.transpose(0, 2, 1)
+    diff -= X
     return float(np.sqrt(np.einsum("kij,kij->ij", diff, diff)).max())
 
 
@@ -146,7 +158,7 @@ class AlgebraElement:
             raise ValueError(f"need a 27x27 matrix, got {arr.shape}")
         if check:
             res = derivation_residual(arr)
-            scale = max(1.0, float(np.linalg.norm(arr)))
+            scale = max(1.0, _norm(arr))
             # written so that a NaN residual fails
             if not res <= 1e-9 * scale:
                 raise VerificationError(f"derivation residual {res:.3e} too large")
@@ -170,7 +182,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return _norm(self.mat)
 
     def __repr__(self):
         return f"AlgebraElement(norm={self.norm():.4g})"
@@ -360,8 +372,10 @@ def _sigma1() -> np.ndarray:
 # matrix in standard coordinates is C V^-1, where the columns of C are the
 # images of the graded basis vectors. Both generators kill E and P^-, so
 # E1+E2 = E - E3 maps to minus the image of E3 and P^+ = P^- - 2(-E1+E2) to
-# -2 times that of -E1+E2. C is filled in standard coordinates one column
-# block at a time; Q+-(c) puts c in slot 1 and +-conj(c) in slot 2. The
+# -2 times that of -E1+E2. Every nonzero entry of C is a parameter
+# coordinate or a coordinate of one of the seven octonion products, times
+# 1, 2 or 4 up to sign, so C is filled by one precomputed scatter from the
+# stacked products; Q+-(c) puts c in slot 1 and +-conj(c) in slot 2. The
 # level -1 generator is the sigma(1)-conjugate, an entrywise sign pattern.
 #
 # Two routes use them. exp_N, behind the word atoms, builds its generator per
@@ -373,14 +387,67 @@ def _sigma1() -> np.ndarray:
 # tensor of the 15 unit generators in graded coordinates and builds none.
 
 _UNITS = tuple(oct.Octonion.unit(j) for j in range(8))
-_IMAG_DIAG = (np.arange(1, 8), np.arange(1, 8))
-_E_M3 = (E - 3 * E3).vec
+_EYE = np.eye(27)
+_EYE.setflags(write=False)
 
 
-def _put_Q(C: np.ndarray, cols: slice, rows: np.ndarray, sign: float = 1.0) -> None:
-    # columns Q+(c) (sign +1) or Q-(c) (sign -1), one c per row of `rows`
-    C[3:11, cols] = rows.T
-    C[11:19, cols] = sign * oct.conj_vec(rows).T
+def _scatter(*blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in C, source indices and coefficients of
+    (rows, cols, source, coefficient) blocks, each broadcast over its block.
+    The coefficients are signed powers of two, so every entry is exact."""
+    parts = [np.broadcast_arrays(27 * r + c, src, coef) for r, c, src, coef in blocks]
+    pos, src, coef = (np.concatenate([b[i].ravel() for b in parts]) for i in range(3))
+    for a in (pos, src, coef):
+        a.setflags(write=False)
+    return pos, src, coef
+
+
+def _column_of(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # rows and entries of the fixed vector that scales a parameter coordinate
+    rows = np.flatnonzero(vec)
+    return rows[:, None], vec[rows][:, None]
+
+
+_J = np.arange(8)  # product with e_j, along the columns of a block
+_K = _J[:, None]  # octonion coordinate k, along the rows of a slot
+_IMAG = _J[1:]
+_PM_ROWS, _PM = _column_of(P_MINUS.vec)
+_EM3_ROWS, _EM3 = _column_of((E - 3 * E3).vec)
+
+
+def _Q(cols, src, coef, sign: float = 1.0) -> tuple[tuple, tuple]:
+    # Q+(c) (sign +1) or Q-(c) (sign -1), c = coef * source[src] per column
+    return (3 + _K, cols, src, coef), (11 + _K, cols, src, sign * coef * oct._CONJ_SIGNS[:, None])
+
+
+# G1(x): the source is (e_j x)_k at 8 j + k, with e_0 x = x, and then the
+# diagonal 2 (e_j x)_j - 4 x_0 of the slot-3 block at 63 + j, j = 1..7
+_G1_SCATTER = _scatter(
+    (_PM_ROWS, 1 + _J, _J, 2 * _PM),  # Qplus(e_j) -> 2 x_j P^-
+    *_Q(9, _K, -1.0),  # E1+E2 -> Q+(-x)
+    *_Q(10, _K, 1.0),  # E3 -> Q+(x)
+    *_Q(10 + _IMAG, 8 * _IMAG + _K, -1.0),  # F(3, e_j) -> Q+(-e_j x)
+    # Qminus(e_j) -> 2 x_j (E - 3E3) + F(3, 2 Im(x conj(e_j))), where
+    # x conj(e_j) = -2 x_0 e_j - conj(e_j x) for j >= 1, and x 1 = x
+    (_EM3_ROWS, 18 + _J, _J, 2 * _EM3),
+    (19 + _K[1:], 18 + _J, np.where(_K[1:] == _J, 63 + _J, 8 * _J + _K[1:]),
+     np.where(_K[1:] == _J, 1.0, 2.0)),
+    *_Q(26, _K, 2.0, -1.0),  # P^+ -> Q-(2x)
+)
+# G2(p): the source is (p e_j)_k at 8 j + k, with p e_0 = p
+_G2_SCATTER = _scatter(
+    (_PM_ROWS, 10 + _IMAG, _IMAG, -2 * _PM),  # F(3, e_j) -> -2 p_j P^-
+    *_Q(18 + _J, 8 * _J + _K, -2.0),  # Qminus(e_j) -> Q+(-2 p e_j)
+    (19 + _K, 26, _K, 4.0),  # P^+ -> F(3, 4p)
+)
+
+
+def _from_scatter(scatter: tuple, source: np.ndarray) -> np.ndarray:
+    # C V^-1, with C filled from the source in one indexed assignment
+    pos, src, coef = scatter
+    C = np.zeros(729)
+    C[pos] = coef * source[src]
+    return C.reshape(27, 27) @ jordan._V_INV
 
 
 def _imO(p) -> np.ndarray:
@@ -442,10 +509,9 @@ def _graded_generators(level: int) -> np.ndarray:
 def _quartic_exp(gen: np.ndarray) -> np.ndarray:
     """exp(N) for a nilpotent N with N^5 = 0, in the Horner form of
     I + N + N^2/2 + N^3/6 + N^4/24."""
-    eye = np.eye(27)
-    m = eye + gen / 4
+    m = _EYE + gen / 4
     for k in (3, 2, 1):
-        m = eye + (gen / k) @ m
+        m = _EYE + (gen / k) @ m
     return m
 
 
@@ -467,34 +533,15 @@ def _at_level(gen: np.ndarray, level: int) -> np.ndarray:
 
 def _gen_G1_matrix(xv: np.ndarray) -> np.ndarray:
     x = oct.Octonion(xv)
-    C = np.zeros((27, 27))
-    C[:, 1:9] = np.outer(P_MINUS.vec, 2 * xv)
-    _put_Q(C, slice(9, 10), -xv[None])
-    _put_Q(C, slice(10, 11), xv[None])
-    ex = np.stack([(u * x).coeffs for u in _UNITS[1:]])  # e_j x, j = 1..7
-    _put_Q(C, slice(11, 18), -ex)
-    C[:, 18:26] = np.outer(_E_M3, 2 * xv)
-    # x conj(e_j) = -2 x_0 e_j - conj(e_j x) for j >= 1, and x 1 = x; unit
-    # products are signed permutations, so both sides agree exactly
-    imx = np.empty((8, 8))
-    imx[0] = xv
-    imx[1:] = -oct.conj_vec(ex)
-    imx[_IMAG_DIAG] -= 2 * xv[0]
-    imx[:, 0] = 0.0
-    C[19:27, 18:26] += (2 * imx).T
-    _put_Q(C, slice(26, 27), 2 * xv[None], -1.0)
-    return C @ jordan._V_INV
+    ux = np.stack([xv] + [(u * x).coeffs for u in _UNITS[1:]])
+    diag = 2 * (ux[_IMAG, _IMAG] - 2 * xv[0])
+    return _from_scatter(_G1_SCATTER, np.concatenate((ux.ravel(), diag)))
 
 
 def _gen_G2_matrix(pv: np.ndarray) -> np.ndarray:
     p = oct.Octonion(pv)
-    C = np.zeros((27, 27))
-    C[:, 11:18] = np.outer(P_MINUS.vec, -2 * pv[1:])
-    # p 1 = p; the other seven are products with imaginary units
-    rows = np.stack([pv] + [(p * u).coeffs for u in _UNITS[1:]])
-    _put_Q(C, slice(18, 26), -2 * rows)
-    C[19:27, 26] = 4 * pv
-    return C @ jordan._V_INV
+    pu = np.stack([pv] + [(p * u).coeffs for u in _UNITS[1:]])
+    return _from_scatter(_G2_SCATTER, pu.ravel())
 
 
 def gen_G(level: int, param) -> AlgebraElement:
@@ -522,7 +569,7 @@ def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:
 def expm(phi: AlgebraElement) -> GroupElement:
     """Matrix exponential by scaling and squaring, series tolerance 1e-13."""
     m = phi.mat
-    norm = float(np.linalg.norm(m))
+    norm = _norm(m)
     res = derivation_residual(m)
     # written so that a NaN residual fails
     if not res <= 1e-9 * max(1.0, norm):
@@ -537,7 +584,7 @@ def expm(phi: AlgebraElement) -> GroupElement:
     while True:
         term = term @ small / k
         total = total + term
-        if float(np.linalg.norm(term)) < 1e-13:
+        if _norm(term) < 1e-13:
             break
         k += 1
         if k > 60:
@@ -567,9 +614,10 @@ def _basis52() -> tuple[list[AlgebraElement], np.ndarray]:
     rank = int(np.sum(svals > svals[0] * 1e-9))
     if rank != 52:
         raise RuntimeError(f"derivation basis rank {rank}, expected 52")
-    # the pseudo-inverse is formed with the basis, not on first use: freeing
-    # its large temporaries raises glibc's dynamic mmap threshold, so that
-    # verify's 157 KB temporaries reuse heap pages instead of page-faulting
+    # the pseudo-inverse is formed with the basis. The word path does not rely
+    # on the heap its temporaries leave behind: verify's and
+    # derivation_residual's 157 KB arrays reused heap pages, with no minor
+    # page faults, in every process history measured, basis52 built or not
     return out, np.linalg.pinv(flat.T)
 
 
@@ -604,7 +652,7 @@ def stabilizer_check(
 
 def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:
     for t in targets:
-        if float(np.linalg.norm(mat @ t.vec - t.vec)) > tol * max(1.0, t.norm()):
+        if _norm(mat @ t.vec - t.vec) > tol * max(1.0, t.norm()):
             return False
     return True
 
@@ -626,20 +674,20 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     e = max(e, -1000)  # keeps floor finite for subnormal input
     us, vs = np.ldexp(uv, -e), np.ldexp(vv, -e)
     floor = math.ldexp(1.0, -e)
-    nu = float(np.linalg.norm(us))
-    nv = float(np.linalg.norm(vs))
+    nu = _norm(us)
+    nv = _norm(vs)
     if nu <= 0 or nv <= 0:
         raise ValueError("u and v must be nonzero")
     if abs(nu - nv) > 1e-9 * max(floor, nu):
         with np.errstate(over="ignore"):
-            nu, nv = float(np.linalg.norm(uv)), float(np.linalg.norm(vv))
+            nu, nv = _norm(uv), _norm(vv)
         raise ValueError(f"norm mismatch: |u| = {nu}, |v| = {nv}")
     uhat = us / nu
     vhat = vs / nu
     gamma = float(uhat @ vhat)
     w = vhat - gamma * uhat
     w -= (w @ uhat) * uhat  # second orthogonalization pass
-    wn = float(np.linalg.norm(w))
+    wn = _norm(w)
     if wn < 1e-13:
         if gamma > 0:
             return identity()
@@ -648,7 +696,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
         b = np.zeros(8)
         b[k] = 1.0
         b -= (b @ uhat) * uhat
-        bhat = b / np.linalg.norm(b)
+        bhat = b / _norm(b)
         dlt = 0.0
     else:
         bhat = w / wn
@@ -662,8 +710,8 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     # on span(u, b) the slot action must be u -> s b, b -> -s u with |s| = 1
     if (
         abs(abs(s) - 1.0) > 1e-9
-        or np.linalg.norm(su - s * bhat) > 1e-9
-        or np.linalg.norm(S @ bhat + s * uhat) > 1e-9
+        or _norm(su - s * bhat) > 1e-9
+        or _norm(S @ bhat + s * uhat) > 1e-9
     ):
         raise RotationError("slot action of the rotation generator is not a plane rotation")
     # exp(theta*gen) maps uhat to cos(theta) uhat + s sin(theta) bhat
@@ -671,7 +719,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     k = expm(gen * theta)
     got = k.mat @ F(j, us).vec
     want = F(j, vs).vec
-    if np.linalg.norm(got - want) > group_tol() * max(floor, nu):
+    if _norm(got - want) > group_tol() * max(floor, nu):
         raise RotationError("rotation solve failed to reach the target")
     return k
 
@@ -688,7 +736,7 @@ def m_basis() -> list[AlgebraElement]:
     for j, a in enumerate(gens):
         for b in gens[j + 1:]:
             m = a @ b - b @ a
-            out.append(AlgebraElement(m / np.linalg.norm(m), check=False))
+            out.append(AlgebraElement(m / _norm(m), check=False))
     return out
 
 
@@ -726,14 +774,14 @@ def theta_eps_check() -> ThetaEpsReport:
         graded = jordan._V_INV @ b.mat @ jordan._V
         for k in range(-2, 3):
             part = jordan._V @ np.where(shift == k, graded, 0.0) @ jordan._V_INV
-            grad_res = max(grad_res, float(np.linalg.norm(H @ part - part @ H - k * part)))
+            grad_res = max(grad_res, _norm(H @ part - part @ H - k * part))
             # the two conjugations differ by -1 on the single-root pieces
             dev = s2 @ part @ s2 - (-1.0) ** k * (s1 @ part @ s1)
-            devs[abs(k)] = max(devs[abs(k)], float(np.linalg.norm(dev)))
+            devs[abs(k)] = max(devs[abs(k)], _norm(dev))
     return ThetaEpsReport(
         dev_zero=devs[0],
         dev_alpha=devs[1],
         dev_2alpha=devs[2],
-        dev_weyl=float(np.linalg.norm(s1 @ H @ s1 + H)),
+        dev_weyl=_norm(s1 @ H @ s1 + H),
         grading_residual=grad_res,
     )

@@ -185,7 +185,8 @@ class Octonion:
         return bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 turns -0.0 into 0.0: equal elements hash equal
+        return hash((self.coeffs + 0.0).tobytes())
 
     def conj(self) -> "Octonion":
         return Octonion(conj_vec(self.coeffs))
@@ -256,10 +257,12 @@ def norm_sq(x) -> float:
 # Coefficients are plain decimals; exponent notation is unavailable because
 # "e" introduces a basis token.
 
+# One term per match: sign, coefficient, basis token, then the whitespace
+# after the term, so a match ends where the next term starts.
 _TERM_RE = _re.compile(
-    r"\s*(?P<sign>[+-])?\s*"
-    r"(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:\s*\*?\s*)?)?"
-    r"(?P<basis>e[1-7])?"
+    r"\s*([+-])?\s*"
+    r"(?:(\d+\.\d*|\.\d+|\d+)(?:\s*\*?\s*)?)?"
+    r"(e[1-7])?\s*"
 )
 
 
@@ -268,25 +271,17 @@ def parse_octonion(text: str) -> Octonion:
     coeffs = np.zeros(8)
     pos = 0
     n = len(text)
-    saw_term = False
     while pos < n:
         m = _TERM_RE.match(text, pos)
-        if m is None or (m.group("num") is None and m.group("basis") is None):
+        sign, num, basis = m.groups()
+        if num is None and basis is None:
             raise ValueError(f"bad octonion literal {text!r} at position {pos}")
-        if saw_term and m.group("sign") is None:
+        if pos and sign is None:
             raise ValueError(f"missing +/- between terms in {text!r} at position {pos}")
-        sign = -1.0 if m.group("sign") == "-" else 1.0
-        num = m.group("num")
-        basis = m.group("basis")
-        value = sign * (float(num) if num is not None else 1.0)
-        idx = int(basis[1]) if basis is not None else 0
-        coeffs[idx] += value
-        saw_term = True
+        value = float(num) if num is not None else 1.0
+        coeffs[int(basis[1]) if basis is not None else 0] += -value if sign == "-" else value
         pos = m.end()
-        # skip trailing whitespace so the loop terminates at end of string
-        while pos < n and text[pos].isspace():
-            pos += 1
-    if not saw_term:
+    if not pos:
         raise ValueError(f"empty octonion literal {text!r}")
     return Octonion(coeffs)
 

@@ -1,6 +1,7 @@
 """Tests for verified group elements and the structure of the derivation algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ def test_verify_matches_pairwise_reference(rng):
     for fn, m, derivation in cases:
         ref = pairwise_residual(m, derivation)
         assert abs(fn(m) - ref) <= 1e-12 * max(1.0, ref)
+
+
+_ARRAY_27x729 = 27 * 729 * 8  # bytes of one [k, (i,j)] layout of the product rule
+
+
+@pytest.mark.parametrize("fn, arrays", [(lg.verify, 2.1), (lg.derivation_residual, 2.5)])
+def test_residual_checks_peak_memory(rng, fn, arrays):
+    # both run on read-only input, as GroupElement.mat is, and leave it as
+    # it was; the product-rule layouts are subtracted in place
+    if fn is lg.verify:
+        m = eval_word(parse("A3(0.5;1)*G1(0.1e1-0.2e3)*D4(2,e1,e2)")).mat
+    else:
+        m = lg.gen_A(2, random_unit(rng)).mat + lg.gen_G(1, random_oct(rng)).mat
+        m.setflags(write=False)
+    assert not m.flags.writeable
+    before = m.tobytes()
+    want = fn(m)  # fills the cached layouts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = fn(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= arrays * _ARRAY_27x729, peak / _ARRAY_27x729
+    assert m.tobytes() == before
 
 
 def test_sigma_conjugation_swaps_levels(rng):

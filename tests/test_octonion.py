@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from f4decomp.jordan import JordanElement
 from f4decomp.octonion import (
     Octonion,
     conj,
@@ -129,6 +130,72 @@ def test_inner_norm_consistency(rng):
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_octonion(text)
+
+
+def _coeffs(**terms):
+    # e.g. _coeffs(e0=1.0, e3=-2.0)
+    v = np.zeros(8)
+    for name, value in terms.items():
+        v[int(name[1])] = value
+    return v
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        (" 1 - 2e3 + e7 ", _coeffs(e0=1.0, e3=-2.0, e7=1.0)),  # whitespace around signs
+        ("+ 2", _coeffs(e0=2.0)),
+        ("2*e3", _coeffs(e3=2.0)),
+        ("2 e3", _coeffs(e3=2.0)),
+        ("2 * e3", _coeffs(e3=2.0)),
+        ("2*", _coeffs(e0=2.0)),  # a dangling '*' ends the term
+        (".5", _coeffs(e0=0.5)),
+        ("3.", _coeffs(e0=3.0)),
+        (".5e2", _coeffs(e2=0.5)),
+        ("-e2", _coeffs(e2=-1.0)),
+        # repeated basis terms sum in reading order, rounding as they go
+        ("e1+e1-0.25e1", _coeffs(e1=1.75)),
+        ("0.1+0.2", _coeffs(e0=0.30000000000000004)),
+        # -0 is added to a +0.0 coefficient, so it leaves +0.0
+        ("-0", np.zeros(8)),
+        ("-0e4", np.zeros(8)),
+    ],
+)
+def test_parse_literal_forms(text, want):
+    assert parse_octonion(text).coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2e3", "missing +/- between terms in '1 2e3' at position 2"),
+        ("e1 e2", "missing +/- between terms in 'e1 e2' at position 3"),
+        ("3.2.1", "missing +/- between terms in '3.2.1' at position 3"),
+        ("", "empty octonion literal ''"),
+        ("   ", "bad octonion literal '   ' at position 0"),
+        ("1+2e3x", "bad octonion literal '1+2e3x' at position 5"),  # trailing garbage
+        ("2e3 )", "bad octonion literal '2e3 )' at position 4"),
+        ("1+e9", "bad octonion literal '1+e9' at position 1"),
+        ("1e", "bad octonion literal '1e' at position 1"),
+        ("1 + + e2", "bad octonion literal '1 + + e2' at position 2"),
+    ],
+)
+def test_parse_error_text_and_position(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_octonion(text)
+    assert str(info.value) == message
+
+
+def test_equal_octonions_hash_equal():
+    signed = np.array([0.0, -0.0, 1.5, -0.0, 0.0, -2.0, -0.0, 0.0])
+    pairs = [
+        (Octonion(np.zeros(8)), Octonion(-np.zeros(8))),
+        (Octonion(signed), Octonion(signed + 0.0)),
+        (JordanElement(np.zeros(27)), JordanElement(-np.zeros(27))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({Octonion(np.zeros(8)), Octonion(-np.zeros(8)), Octonion.zero()}) == 1
 
 
 def test_parse_examples():

@@ -193,3 +193,16 @@ def test_cube_matches_left_to_right_product():
     d = eval_word(parse("D4(2,e1,e2)"))
     cube = eval_word(parse("D4(2,e1,e2)^3"))
     assert np.max(np.abs(cube.mat - (d @ d @ d).mat)) <= 1e-12
+
+
+def test_equal_atoms_hash_equal():
+    zero, negzero = Octonion(np.zeros(8)), Octonion(-np.zeros(8))
+    u = Octonion.unit(1)
+    pairs = [
+        (AtomA(3, 0.0, u), AtomA(3, -0.0, u)),
+        (AtomG(1, zero), AtomG(1, negzero)),
+        (AtomD4(2, zero, u), AtomD4(2, negzero, u)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
