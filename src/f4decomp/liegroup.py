@@ -35,8 +35,11 @@ form them as plain matrix products on two cached layouts of
 functions return GroupElements; the private `_exp_A_matrix` and
 `_exp_N_matrix` builders, and `_graded_exp_N` for
 V^-1 exp_N V in jordan's graded basis, return plain matrices, which the
-factorizations and the word evaluator multiply unverified, wrapping only
-the matrices they return. They invert by `_adjoint`: an automorphism
+factorizations multiply unverified, wrapping only what they return. A
+lone word atom is the public verified element; inside a product the word
+evaluator takes G atoms from `_exp_N_matrix`, A, D4 and S atoms from the
+verified `exp_A`, `d4_rotate` and `sigma`, and verifies the product. Both
+invert by `_adjoint`: an automorphism
 keeps the trace pairing, so g^-1 = W^-1 g^T W, a transpose and exact
 scales by the pairing weights, which rounds nothing. `identity()` and `sigma(i)` are
 shared verified constants. AlgebraElement checks the derivation property

@@ -5,9 +5,9 @@ the diagonal reflections S1..S3, and the slot rotations D4. Words multiply
 left to right, powers repeat a factor and negative powers invert it. The
 printer emits a canonical form whose parse returns an equal tree.
 
-Evaluation multiplies the verified atom matrices as plain arrays, inverts
-by the pairing adjoint W^-1 g^T W, which rounds nothing, and verifies the
-word's value once.
+Evaluation multiplies the atom matrices as plain arrays, inverts by the
+pairing adjoint W^-1 g^T W, which rounds nothing, and verifies the word's
+value once; `eval_word` says which atoms are verified on their own.
 """
 
 from __future__ import annotations
@@ -276,7 +276,14 @@ def print_word(word: GroupWord) -> str:
 
 
 def eval_word(word: GroupWord) -> GroupElement:
-    """Left-to-right product of the verified generator matrices."""
+    """Left-to-right product of the atom matrices, verified once.
+
+    A lone atom is the public verified element (`exp_A`, `exp_N`, `sigma`,
+    `d4_rotate`). Inside a product or power, G atoms enter as the closed
+    form `liegroup._exp_N_matrix`, with exp_N's input checks and bits, and
+    only the word's value passes the gate; A, D4 and S atoms are still
+    verified elements there.
+    """
     # an overflowing atom or product leaves non-finite entries, which the
     # gate refuses; it is not reported as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,10 +296,7 @@ def _eval_atom(word: GroupWord) -> GroupElement:
     if isinstance(word, AtomA):
         return lg.exp_A(word.i, word.t, word.a)
     if isinstance(word, AtomG):
-        level = 1 if word.level > 0 else -1
-        if abs(word.level) == 1:
-            return lg.exp_N(level, word.x, Octonion.zero())
-        return lg.exp_N(level, Octonion.zero(), word.x)
+        return lg.exp_N(*_exp_N_args(word))
     if isinstance(word, AtomS):
         return lg.sigma(word.i)
     if isinstance(word, AtomD4):
@@ -311,7 +315,18 @@ def _eval_matrix(word: GroupWord) -> np.ndarray:
         for f in word.factors[1:]:
             out = out @ _eval_matrix(f)
         return out
+    if isinstance(word, AtomG):
+        return lg._exp_N_matrix(*_exp_N_args(word))
     return _eval_atom(word).mat
+
+
+def _exp_N_args(atom: AtomG) -> tuple[int, Octonion, Octonion]:
+    """exp_N's (level, x, p) for a G atom: G1(x) and Gm1(x) are
+    exp_N(+-1, x, 0), G2(x) and Gm2(x) are exp_N(+-1, 0, x)."""
+    level = 1 if atom.level > 0 else -1
+    if abs(atom.level) == 1:
+        return level, atom.x, Octonion.zero()
+    return level, Octonion.zero(), atom.x
 
 
 def _power(m: np.ndarray, n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from conftest import DEEP_GAUSS_WORD
 from f4decomp import cli
 from f4decomp import liegroup as lg
 from f4decomp.octonion import Octonion
+from f4decomp.wordlang import eval_word, parse
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +281,24 @@ def test_keps_conditioning_refusal_is_one_json_error(capsys, cmd, word):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "DegenerateCell"
+
+
+@pytest.mark.parametrize("exponent", [22, 40, 80])
+@pytest.mark.parametrize("template", ["{g}({x})*A3(0.3;1)", "{g}({x})*{g}(-{x})", "({g}({x}))^2"])
+@pytest.mark.parametrize("g", ["G1", "Gm1"])
+def test_overflowing_nilpotent_atom_in_a_product_is_refused(capsys, g, template, exponent):
+    # the atom is not verified inside a product, so the product's gate
+    # refuses what the atom's own gate refused before
+    word = template.format(g=g, x="1" + "0" * exponent)
+    with pytest.raises(lg.VerificationError):
+        eval_word(parse(word))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eval", "--word", word)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "VerificationError"
 
 
 @pytest.mark.parametrize("word", ["A3(1e400;1)", "A3(nan;1)", "G1(1e400)"])

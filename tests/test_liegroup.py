@@ -421,7 +421,9 @@ def test_verify_runs_once_per_returned_element(monkeypatch):
     real = lg.verify
     monkeypatch.setattr(lg, "verify", lambda m: calls.append(1) or real(m))
     g = eval_word(parse("A3(0.3;1)*G1(0.2e1)*G2(0.1e3)*S1*A1(0.2;e2)"))
-    assert len(calls) == 5  # four non-constant atoms and the product
+    # the two A atoms and the product; G atoms inside a product are the
+    # unverified closed form and S1 is a cached constant
+    assert len(calls) == 3
     calls.clear()
     decomp.iwasawa(g)
     assert len(calls) == 1  # k only
@@ -429,6 +431,22 @@ def test_verify_runs_once_per_returned_element(monkeypatch):
     calls.clear()
     decomp.keps_iwasawa(a)
     assert len(calls) == 1  # k_eps only
+
+
+def test_nilpotent_word_is_verified_once(monkeypatch):
+    text = "G1(0.2e1)*Gm2(0.3e5)*G2(0.1e3)"
+    zero = Octonion.zero()
+    atoms = [
+        lg.exp_N(1, 0.2 * Octonion.unit(1), zero),
+        lg.exp_N(-1, zero, 0.3 * Octonion.unit(5)),
+        lg.exp_N(1, zero, 0.1 * Octonion.unit(3)),
+    ]
+    calls = []
+    real = lg.verify
+    monkeypatch.setattr(lg, "verify", lambda m: calls.append(1) or real(m))
+    g = eval_word(parse(text))
+    assert len(calls) == 1  # the product only
+    assert np.array_equal(g.mat, atoms[0].mat @ atoms[1].mat @ atoms[2].mat)
 
 
 def test_inverse_and_apply(rng):

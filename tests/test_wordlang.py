@@ -151,9 +151,10 @@ def test_constraints_deferred_to_eval():
     w = parse("A3(0.5;2)")
     with pytest.raises(ValueError, match="unit"):
         eval_word(w)
-    w = parse("G2(1+e1)")
-    with pytest.raises(ValueError, match="imaginary"):
-        eval_word(w)
+    # inside a product a G atom skips exp_N's gate, not its input checks
+    for text in ("G2(1+e1)", "G2(1+e1)*S1", "(Gm2(0.5-e3))^2"):
+        with pytest.raises(ValueError, match="imaginary"):
+            eval_word(parse(text))
     w = parse("D4(1,e1,2e1)")
     with pytest.raises(ValueError):
         eval_word(w)
