@@ -99,17 +99,17 @@ def factors_json(f) -> dict:
     raise TypeError(f"not a factorization record: {type(f).__name__}")
 
 
-_CELL_WORD = {"OpenCell": "open", "ClosedCell": "closed"}
-
-
 def classify_json(g: liegroup.GroupElement) -> dict:
+    # the Matsuki cell and the K_eps-orbit of g P_MINUS are one decision, the
+    # Bruhat cell and the N^- orbit the other
     X = JordanElement(g.mat @ P_MINUS.vec)
-    keps_label, _ = decomp.flag_classify_keps(X)
+    keps_orbit, _ = decomp.flag_classify_keps(X)
+    nminus_orbit = decomp.flag_classify_nminus(X)
     return {
-        "bruhat": _CELL_WORD[decomp.bruhat_classify(g)],
-        "matsuki": _CELL_WORD[decomp.matsuki_classify(g)],
-        "keps_orbit": keps_label,
-        "nminus_orbit": decomp.flag_classify_nminus(X),
+        "bruhat": "open" if nminus_orbit == "P-orbit" else "closed",
+        "matsuki": "open" if keps_orbit == "P12orbit" else "closed",
+        "keps_orbit": keps_orbit,
+        "nminus_orbit": nminus_orbit,
     }
 
 

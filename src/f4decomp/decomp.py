@@ -16,18 +16,21 @@ keps_iwasawa reads t from its cell value, which is e^(2t), and n from the
 pairings of g^-1 E2, the E2 row of the adjoint, with no solve. Its k_eps is
 refused where an a-priori error bound reaches 1e-8, and matsuki's open cell
 shares the result of the last element factored. Factors are inverted as
-pairing adjoints W^-1 f^T W. The cell tests and the orbit classification on
-rays of the trace-zero negative cone are sign tests of pairings against E2
-and against the reflected null vector h1(-1,1,0;0,0,-1).
+pairing adjoints W^-1 f^T W.
 
 All factor records carry the max-abs reconstruction residual. The factors
 are computed as plain matrices. n and z are formed from their parameters
 in graded coordinates, n' = V^-1 n V exactly block unipotent, from
 liegroup's cached generator tensor, with no octonion product; z_of_X, the
 closed-form route the tests compare gauss against, keeps the public exp_N.
-Each factorization certifies the product and stabilizer checks at one gate,
-group_tol * max(1, |g|_2^2), and verifies the group elements it returns
-(k, k_eps, m) once. An overflow on the way leaves non-finite values,
+Every cell and orbit decision is one cell test, _cells(X), on X = g P_MINUS
+or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
+(X|reflected), for the reflected null vector h1(-1,1,0;0,0,-1), the Bruhat
+cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
+certificate, _certify, checks that the k, k_eps or m factor fixes its targets
+and that the product reconstructs g, both at one gate,
+group_tol * max(1, |g|_2^2). Each factorization verifies the group elements
+it returns (k, k_eps, m) once. An overflow on the way leaves non-finite values,
 refused as typed errors by these gates, without floating-point warnings.
 """
 
@@ -195,9 +198,15 @@ def _gate(g: GroupElement) -> float:
     return group_tol() * max(1.0, g.opnorm**2)
 
 
-def _certify(parts: list[np.ndarray], g: np.ndarray, gate: float) -> float:
-    """Max-abs residual of the product of `parts` against g; a NaN or one
-    above `gate` raises VerificationError."""
+def _certify(
+    fixed: np.ndarray, targets: list[JordanElement], what: str,
+    parts: list[np.ndarray], g: np.ndarray, gate: float,
+) -> float:
+    """Max-abs residual of the product of `parts` against g. The factor
+    `fixed` must fix `targets` at `gate`, else VerificationError(`what`); a
+    NaN residual or one above `gate` raises VerificationError too."""
+    if not _fixes(fixed, targets, gate):
+        raise VerificationError(what)
     prod = parts[0]
     for part in parts[1:]:
         prod = prod @ part
@@ -205,6 +214,36 @@ def _certify(parts: list[np.ndarray], g: np.ndarray, gate: float) -> float:
     if not residual <= gate:
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return residual
+
+
+# (X|reflected) = X @ _REFLECTED for the reflected null vector
+_REFLECTED = jordan._WEIGHTS * SIGMA_P_MINUS.vec
+
+
+class _Cells(NamedTuple):
+    """The cell values (X|E2) and (X|reflected) of X and their tolerance."""
+
+    keps: float
+    bruhat: float
+    tol: float
+
+    def closed(self, val: float) -> bool:
+        return abs(val) <= self.tol
+
+
+def _cells(X: np.ndarray) -> _Cells:
+    """The one cell test: (X|E2) decides the Matsuki cell and the K_eps-orbit,
+    (X|reflected) the Bruhat cell and the N^- orbit, each closed at
+    |value| <= member_tol |X|."""
+    return _Cells(float(X[1]), float(X @ _REFLECTED), member_tol() * float(np.linalg.norm(X)))
+
+
+def _near_boundary(pairing: str, val: float, why) -> DegenerateCell:
+    # inside the open cell but too near its boundary for the factors to be
+    # representable at tolerance
+    return DegenerateCell(
+        f"(g P_MINUS|{pairing}) = {val:.3e} is too close to the cell boundary: {why}"
+    )
 
 
 def n_pair(X: JordanElement) -> NParams:
@@ -257,10 +296,9 @@ def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
     t = 0.5 * math.log(top[0])
     params = _nilpotent_params(top * _ROOT_GRAM / (_ROOT_GRAM[0] * top[0]), 1)
     k = _U @ (q * sign) @ _U_INV
-    if not _fixes(k, [E1], gate):
-        raise VerificationError("computed k-factor does not fix E1")
     a, n = _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV
-    return k, a, n, t, params, _certify([k, a, n], g, gate)
+    what = "computed k-factor does not fix E1"
+    return k, a, n, t, params, _certify(k, [E1], what, [k, a, n], g, gate)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -271,19 +309,9 @@ def iwasawa(g: GroupElement) -> IwasawaFactors:
     return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
-def _keps_cell_value(g: GroupElement) -> tuple[float, float]:
-    """(pairing with E2, tolerance) for the image of the base null vector."""
-    Y = g.mat @ P_MINUS.vec
-    return float(Y[1]), member_tol() * float(np.linalg.norm(Y))
-
-
 # unit roundoff of double precision, and the a-priori error allowed on k_eps
 _UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
 _KEPS_BOUND = 1e-8
-
-
-def _near_keps_boundary(val: float, why) -> DegenerateCell:
-    return DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is too close to the cell boundary: {why}")
 
 
 @lru_cache(maxsize=1)
@@ -300,15 +328,16 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
     sees its error: it is bounded a priori by u |g|_2 |n^-1|_2 e^(2|t|),
     with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8.
     """
-    val, tol = _keps_cell_value(g)
-    if abs(val) <= tol:
+    cells = _cells(g.mat @ P_MINUS.vec)
+    val = cells.keps
+    if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is below tolerance")
     # the bound without |n^-1|_2 >= 1, before the sign test: a cell value
     # lost in the rounding of g P_MINUS may carry either sign
     bound = _UNIT_ROUNDOFF * g.opnorm * max(abs(val), 1.0 / abs(val))
     if not bound < _KEPS_BOUND:
-        raise _near_keps_boundary(
-            val, f"error bound u |g|_2 e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
+        raise _near_boundary(
+            "E2", val, f"error bound u |g|_2 e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
         )
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|E2) = {val:.3e} negative; sign dichotomy violated")
@@ -328,15 +357,11 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
                 f"error bound u |g|_2 |n^-1| e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
             )
         k = g.mat @ n_inv @ _a_matrix(-t)
-        gate = _gate(g)
-        if not _fixes(k, [E2], gate):
-            raise VerificationError("computed k_eps-factor does not fix E2")
-        residual = _certify([k, a, n], g.mat, gate)
+        what = "computed k_eps-factor does not fix E2"
+        residual = _certify(k, [E2], what, [k, a, n], g.mat, _gate(g))
         k_eps = GroupElement(k)
     except (DegeneratePairing, VerificationError) as exc:
-        # inside the open cell but too near its boundary for the factors to
-        # be representable at tolerance
-        raise _near_keps_boundary(val, exc) from exc
+        raise _near_boundary("E2", val, exc) from exc
     return KEpsFactors(k_eps=k_eps, t=t, n=params, residual=residual)
 
 
@@ -355,6 +380,28 @@ def _require_shape(checks: list[tuple[str, float]], tol: float) -> None:
             raise ShapeViolation(f"component {name} = {dev:.3e} exceeds tolerance {tol:.1e}")
 
 
+def _closed_cell_rotation(Y: JordanElement, tol: float) -> GroupElement:
+    """The slot-2 rotation that takes Y, of the closed-cell shape
+    h1(-r, 0, r; 0, x2, 0) with r = |x2| > 0 checked at `tol`, to r times
+    the quarter-turn image h1(-1,0,1;0,1,0) of the base null vector."""
+    xi1, xi2, xi3 = Y.xi
+    x2v = Y.slot(2)
+    r = float(np.linalg.norm(x2v))
+    _require_shape(
+        [
+            ("xi2", abs(xi2)),
+            ("x1", float(np.linalg.norm(Y.slot(1)))),
+            ("x3", float(np.linalg.norm(Y.slot(3)))),
+            ("xi1+xi3", abs(xi1 + xi3)),
+            ("xi3-|x2|", abs(xi3 - r)),
+        ],
+        tol,
+    )
+    if r <= tol:
+        raise ShapeViolation("image of the base null vector is numerically zero")
+    return d4_rotate(2, Octonion(x2v / r), Octonion.one())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def matsuki(g: GroupElement) -> MatsukiFactors:
     """Two-cell factorization g = k_eps (c) m a_t n, c the closed-cell pivot.
@@ -366,68 +413,39 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     an element fixing the base ray, whose own Iwasawa k-factor must land in
     the joint stabilizer M.
     """
-    val, tol = _keps_cell_value(g)
-    if abs(val) > tol:
+    Y = g.apply(P_MINUS)
+    cells = _cells(Y.vec)
+    if not cells.closed(cells.keps):
         f = _keps_factors(g, (group_tol(), member_tol()))
         return MatsukiFactors(
-            cell="Open",
-            k_eps=f.k_eps,
-            w=False,
-            m=identity(),
-            t=f.t,
-            n=f.n,
-            residual=f.residual,
+            cell="Open", k_eps=f.k_eps, w=False, m=identity(), t=f.t, n=f.n, residual=f.residual
         )
 
-    Y = g.apply(P_MINUS)
-    xi1, xi2, xi3 = Y.xi
-    x2v = Y.slot(2)
-    r = float(np.linalg.norm(x2v))
-    stol = member_tol() * max(1.0, Y.norm())
-    _require_shape(
-        [
-            ("xi2", abs(xi2)),
-            ("x1", float(np.linalg.norm(Y.slot(1)))),
-            ("x3", float(np.linalg.norm(Y.slot(3)))),
-            ("xi1+xi3", abs(xi1 + xi3)),
-            ("xi3-|x2|", abs(xi3 - r)),
-        ],
-        stol,
-    )
-    if r <= stol:
-        raise ShapeViolation("image of the base null vector is numerically zero")
-
-    kprime = d4_rotate(2, Octonion(x2v / r), Octonion.one())
+    # the shape tolerance member_tol max(1, |Y|)
+    kprime = _closed_cell_rotation(Y, max(member_tol(), cells.tol))
     c = closed_cell_rep()
     gate = _gate(g)
     m, a, n, t, params, _ = _graded_iwasawa(_adjoint(c.mat) @ kprime.mat @ g.mat, gate)
     m = GroupElement(m)
-    if not _fixes(m.mat, _M_TARGETS, gate):
-        raise VerificationError("closed-cell m-factor fails the M stabilizer check")
     k_eps = kprime.inv()
-    residual = _certify([k_eps.mat, c.mat, m.mat, a, n], g.mat, gate)
+    what = "closed-cell m-factor fails the M stabilizer check"
+    residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c.mat, m.mat, a, n], g.mat, gate)
     return MatsukiFactors(
         cell="Closed", k_eps=k_eps, w=True, m=m, t=t, n=params, residual=residual
     )
 
 
-def _bruhat_cell_value(g: GroupElement) -> tuple[float, float]:
-    Y = g.mat @ P_MINUS.vec
-    val = float(Y @ (jordan._WEIGHTS * SIGMA_P_MINUS.vec))
-    return val, member_tol() * float(np.linalg.norm(Y))
-
-
 def bruhat_classify(g: GroupElement) -> str:
     """Cell label of g: "OpenCell" for the dense cell, "ClosedCell" otherwise."""
-    val, tol = _bruhat_cell_value(g)
-    return "ClosedCell" if abs(val) <= tol else "OpenCell"
+    cells = _cells(g.mat @ P_MINUS.vec)
+    return "ClosedCell" if cells.closed(cells.bruhat) else "OpenCell"
 
 
 def matsuki_classify(g: GroupElement) -> str:
     """Cell label of g in the two-cell stratification: "OpenCell" when
     keps_iwasawa applies, "ClosedCell" otherwise."""
-    val, tol = _keps_cell_value(g)
-    return "ClosedCell" if abs(val) <= tol else "OpenCell"
+    cells = _cells(g.mat @ P_MINUS.vec)
+    return "ClosedCell" if cells.closed(cells.keps) else "OpenCell"
 
 
 def _graded_m(gp: np.ndarray) -> np.ndarray:
@@ -461,8 +479,9 @@ def gauss(g: GroupElement) -> GaussFactors:
     Failures of the M stabilizer and reconstruction gates on m are reported
     as DegenerateCell.
     """
-    val, tol = _bruhat_cell_value(g)
-    if abs(val) <= tol:
+    cells = _cells(g.mat @ P_MINUS.vec)
+    val = cells.bruhat
+    if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|reflected) = {val:.3e} is below tolerance")
     if val < 0.0:
         raise VerificationError(f"(g P_MINUS|reflected) = {val:.3e} negative; positivity violated")
@@ -480,21 +499,16 @@ def gauss(g: GroupElement) -> GaussFactors:
     try:
         mg = _graded_m(gp)
         m = _V @ mg @ _V_INV
-        gate = _gate(g)
-        if not _fixes(m, _M_TARGETS, gate):
-            raise VerificationError("m-factor fails the M stabilizer check")
         # multiplied out in graded coordinates, where the large entries of z
         # and n do not cancel in the product as they do in standard ones;
         # there a_t scales the columns of m' by e^(grade t)
         zg, ng = _graded_exp_N(-1, *z_params), _graded_exp_N(1, *n_params)
-        residual = _certify([_V, zg, mg * np.exp(_GRADES * t), ng, _V_INV], g.mat, gate)
+        parts = [_V, zg, mg * np.exp(_GRADES * t), ng, _V_INV]
+        what = "m-factor fails the M stabilizer check"
+        residual = _certify(m, _M_TARGETS, what, parts, g.mat, _gate(g))
         m = GroupElement(m)
     except VerificationError as exc:
-        # inside the open cell but too near its boundary for the factors to
-        # be representable at tolerance
-        raise DegenerateCell(
-            f"(g P_MINUS|reflected) = {val:.3e} is too close to the cell boundary: {exc}"
-        ) from exc
+        raise _near_boundary("reflected", val, exc) from exc
     return GaussFactors(z=z_params, m=m, t=t, n=n_params, residual=residual)
 
 
@@ -533,24 +547,11 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
     h1(-1,0,1;0,1,0). The witness fixes E2.
     """
     Xh = ray_rep(X)
-    tol = member_tol() * max(1.0, Xh.norm())
-    val = float(Xh.vec[1])
-
-    if abs(val) <= tol:
-        x2v = Xh.slot(2)
-        r = float(np.linalg.norm(x2v))
-        _require_shape(
-            [
-                ("xi2", abs(val)),
-                ("x1", float(np.linalg.norm(Xh.slot(1)))),
-                ("x3", float(np.linalg.norm(Xh.slot(3)))),
-                ("xi3-1", abs(float(Xh.vec[2]) - 1.0)),
-                ("|x2|-1", abs(r - 1.0)),
-            ],
-            tol,
-        )
-        witness = d4_rotate(2, Octonion(x2v / r), Octonion.one())
-        target = P13_MINUS.vec
+    # (Xh|E1) = -1, so |Xh| >= 1 and the tolerance is at least member_tol
+    cells = _cells(Xh.vec)
+    val, tol = cells.keps, cells.tol
+    if cells.closed(val):
+        label, witness, target = "P13orbit", _closed_cell_rotation(Xh, tol), P13_MINUS.vec
     else:
         if val < 0.0:
             raise VerificationError(f"(X|E2) = {val:.3e} negative; sign dichotomy violated")
@@ -580,13 +581,11 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
             tol,
         )
         rot = d4_rotate(3, Octonion(y3 / float(np.linalg.norm(y3))), Octonion.one())
-        witness = rot @ boost
-        target = p_hat * P_MINUS.vec
+        label, witness, target = "P12orbit", rot @ boost, p_hat * P_MINUS.vec
 
     dev = float(np.max(np.abs(witness.mat @ Xh.vec - target)))
     if dev > group_tol() * max(1.0, Xh.norm()):
         raise VerificationError(f"witness postcondition residual {dev:.3e}")
-    label = "P13orbit" if abs(val) <= tol else "P12orbit"
     return label, witness
 
 
@@ -596,9 +595,8 @@ def flag_classify_nminus(X: JordanElement) -> str:
     The reflected ray h1(-1,1,0;0,0,-1) is a fixed point and forms its own
     orbit; everything else lies in the dense orbit of the base ray.
     """
-    val = inner(X, SIGMA_P_MINUS)
-    tol = member_tol() * max(1.0, X.norm())
-    return "SigmaP-orbit" if abs(val) <= tol else "P-orbit"
+    cells = _cells(X.vec)
+    return "SigmaP-orbit" if cells.closed(cells.bruhat) else "P-orbit"
 
 
 def stabilizer_flag(g: GroupElement) -> bool:

@@ -142,7 +142,7 @@ def test_criterion_05_keps_iwasawa():
     violations = 0
     for _ in range(1000):
         g = eval_word(parse(random_word_text(rng)))
-        val, tol = dc._keps_cell_value(g)
+        val, _, tol = dc._cells(g.mat @ P_MINUS.vec)
         if abs(val) <= tol:
             continue
         if val < 0.0:

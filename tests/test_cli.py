@@ -89,6 +89,20 @@ def test_classify_pinned_example(capsys):
     assert set(data) == {"bruhat", "matsuki", "keps_orbit", "nminus_orbit"}
     assert data["keps_orbit"] in ("P12orbit", "P13orbit")
     assert data["nminus_orbit"] in ("P-orbit", "SigmaP-orbit")
+    # each cell label and its orbit label are one decision, on every fixture
+    # word with a classify record
+    checked = 0
+    for line in cli._default_fixtures().read_text().splitlines():
+        rec = json.loads(line)
+        if "classify" not in rec["expect"]:
+            continue
+        code, out, _ = run_cli(capsys, "classify", "--word", rec["word"])
+        assert code == 0
+        data = parse_out(out)
+        assert (data["bruhat"] == "open") == (data["nminus_orbit"] == "P-orbit")
+        assert (data["matsuki"] == "open") == (data["keps_orbit"] == "P12orbit")
+        checked += 1
+    assert checked >= 8
 
 
 def test_degenerate_exits_2(capsys):

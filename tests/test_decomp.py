@@ -21,7 +21,17 @@ from f4decomp import jordan
 from f4decomp import liegroup as lg
 from f4decomp import octonion as oct
 from f4decomp.harmonic import H_nbar
-from f4decomp.jordan import E1, E2, E3, F, P13_MINUS, P_MINUS, JordanElement, inner
+from f4decomp.jordan import (
+    E1,
+    E2,
+    E3,
+    F,
+    P13_MINUS,
+    P_MINUS,
+    SIGMA_P_MINUS,
+    JordanElement,
+    inner,
+)
 from f4decomp.octonion import Octonion
 from f4decomp.wordlang import eval_word, parse
 
@@ -101,7 +111,7 @@ def test_n_pair_matches_the_adapted_coordinates(rng):
 def test_keps_dichotomy_and_round_trip(rng):
     for _ in range(30):
         g = random_group(rng)
-        val, tol = dc._keps_cell_value(g)
+        val, _, tol = dc._cells(g.mat @ P_MINUS.vec)
         if abs(val) <= tol:
             with pytest.raises(dc.DegenerateCell):
                 dc.keps_iwasawa(g)
@@ -535,7 +545,7 @@ def test_gauss_z_matches_the_pairing_route(rng):
         scale = max(1.0, want.norm())
         assert np.max(np.abs(got.x.coeffs + want.x.coeffs)) <= 1e-12 * scale
         assert np.max(np.abs(got.p.coeffs + want.p.coeffs)) <= 1e-12 * scale
-        val, _ = dc._bruhat_cell_value(g)
+        _, val, _ = dc._cells(g.mat @ P_MINUS.vec)
         pivot = (dc._V_INV @ g.mat @ dc._V)[0, 0]
         assert abs(pivot - 0.25 * val) <= 1e-15 * abs(val)
         checked += 1
@@ -564,6 +574,10 @@ def test_flag_classify_keps(rng):
         g = random_group(rng)
         X = JordanElement(g.mat @ P_MINUS.vec)
         label, witness = dc.flag_classify_keps(X)
+        # one decision: the Matsuki cell of g is the K_eps-orbit of g P_MINUS
+        cell = "OpenCell" if label == "P12orbit" else "ClosedCell"
+        assert dc.matsuki_classify(g) == cell
+        assert dc.matsuki(g).cell + "Cell" == cell
         val = inner(X, E2)
         if label == "P13orbit":
             assert abs(val) <= 1e-6 * max(1.0, X.norm())
@@ -578,12 +592,18 @@ def test_flag_classify_keps(rng):
 
 
 def test_flag_classify_nminus_matches_bruhat(rng):
+    # the label is one of the ray, so it does not depend on the scale of X
     for _ in range(20):
         g = random_group(rng)
         X = JordanElement(g.mat @ P_MINUS.vec)
-        label = dc.flag_classify_nminus(X)
         cell = dc.bruhat_classify(g)
-        assert (label == "P-orbit") == (cell == "OpenCell")
+        for s in (1.0, 1e-6, 1e-10, 1e-12):
+            label = dc.flag_classify_nminus(s * X)
+            assert (label == "P-orbit") == (cell == "OpenCell")
+    # P_MINUS spans the base ray, inside the dense orbit, at every scale
+    assert dc.flag_classify_nminus(1e-10 * P_MINUS) == "P-orbit"
+    assert dc.flag_classify_nminus(1e-9 * (SIGMA_P_MINUS + 1e-3 * P_MINUS)) == "P-orbit"
+    assert dc.flag_classify_nminus(1e-9 * SIGMA_P_MINUS) == "SigmaP-orbit"
 
 
 def test_stabilizer_flag(rng):
