@@ -29,7 +29,12 @@ or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
 certificate, _certify, checks that the k, k_eps or m factor fixes its targets
 and that the product reconstructs g, both at one gate,
-group_tol * max(1, |g|_2^2). Each factorization verifies the group elements
+group_tol * max(1, |g|_2^2). Each test is monotone in the gate and is tried
+first at liegroup's lower bound of it from g's largest squared column, and at
+the SVD gate only where that fails; keps_iwasawa's a-priori bound likewise
+reads |g|_2 off the SVD only where its upper bound (1 + 1e-12) |g|_F does not
+pass. So every decision is the SVD gate's, and every refusal names the exact
+values. Each factorization verifies the group elements
 it returns (k, k_eps, m) once. An overflow on the way leaves non-finite values,
 refused as typed errors by these gates, without floating-point warnings.
 """
@@ -39,9 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
-from typing import NamedTuple
 
 from . import jordan
 from .config import group_tol, member_tol
@@ -66,7 +71,9 @@ from .liegroup import (
     VerificationError,
     _adjoint,
     _fixes,
+    _gate_floor,
     _graded_exp_N,
+    _norm,
     d4_rotate,
     exp_A,
     exp_N,
@@ -193,25 +200,30 @@ def _nilpotent_params(unit: np.ndarray, level: int) -> NParams:
     )
 
 
-def _gate(g: GroupElement) -> float:
+def _passes_gate(g: GroupElement, test: Callable[[float], bool]) -> bool:
+    """test(gate) at g's factorization gate group_tol * max(1, |g|_2^2), for
+    a test monotone in the gate: at liegroup's lower bound of the gate first,
+    and at the SVD gate only where that fails, so it decides as the SVD gate does."""
     # factor extraction amplifies rounding by |g|_2^2; residuals stay raw
-    return group_tol() * max(1.0, g.opnorm**2)
+    tol = group_tol()
+    return test(_gate_floor(g._col_sq, tol)) or test(tol * max(1.0, g.opnorm**2))
 
 
 def _certify(
     fixed: np.ndarray, targets: list[JordanElement], what: str,
-    parts: list[np.ndarray], g: np.ndarray, gate: float,
+    parts: list[np.ndarray], mat: np.ndarray, g: GroupElement,
 ) -> float:
-    """Max-abs residual of the product of `parts` against g. The factor
-    `fixed` must fix `targets` at `gate`, else VerificationError(`what`); a
-    NaN residual or one above `gate` raises VerificationError too."""
-    if not _fixes(fixed, targets, gate):
+    """Max-abs residual of the product of `parts` against mat, at g's gate.
+    The factor `fixed` must fix `targets` at the gate, else
+    VerificationError(`what`); a NaN residual or one above the gate raises
+    VerificationError too."""
+    if not _passes_gate(g, lambda gate: _fixes(fixed, targets, gate)):
         raise VerificationError(what)
     prod = parts[0]
     for part in parts[1:]:
         prod = prod @ part
-    residual = float(np.max(np.abs(prod - g)))
-    if not residual <= gate:
+    residual = float(np.max(np.abs(prod - mat)))
+    if not _passes_gate(g, lambda gate: residual <= gate):
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return residual
 
@@ -279,15 +291,15 @@ def nx_closed_form(X: JordanElement) -> JordanElement:
     return JordanElement(vec)
 
 
-def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
-    """g = k a_t n with k fixing E1, on plain matrices, by one Householder QR.
+def _graded_iwasawa(mat: np.ndarray, g: GroupElement) -> tuple:
+    """mat = k a_t n with k fixing E1, on plain matrices, by one Householder QR.
 
     In scaled graded coordinates k is orthogonal and a_t n upper triangular
-    with a positive diagonal, so U^-1 g U = Q R with diag(R) > 0 gives k = Q,
+    with a positive diagonal, so U^-1 mat U = Q R with diag(R) > 0 gives k = Q,
     t = log(R_00) / 2 and n from R's top row. Returns the matrices k, a_t and
-    n, t, n's parameters and the residual, gated at `gate`.
+    n, t, n's parameters and the residual, certified at g's gate.
     """
-    q, r = np.linalg.qr(_U_INV @ g @ _U)
+    q, r = np.linalg.qr(_U_INV @ mat @ _U)
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     top = sign[0] * r[0]
     # R_00 = e^(2t) underflows to 0 at large negative t
@@ -298,20 +310,35 @@ def _graded_iwasawa(g: np.ndarray, gate: float) -> tuple:
     k = _U @ (q * sign) @ _U_INV
     a, n = _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV
     what = "computed k-factor does not fix E1"
-    return k, a, n, t, params, _certify(k, [E1], what, [k, a, n], g, gate)
+    return k, a, n, t, params, _certify(k, [E1], what, [k, a, n], mat, g)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1; where k cannot be
     certified at tolerance it raises VerificationError."""
-    k, _, _, t, params, residual = _graded_iwasawa(g.mat, _gate(g))
+    k, _, _, t, params, residual = _graded_iwasawa(g.mat, g)
     return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
 # unit roundoff of double precision, and the a-priori error allowed on k_eps
 _UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
 _KEPS_BOUND = 1e-8
+
+
+def _keps_bound(g: GroupElement, *factors: float) -> float:
+    """u |g|_2 times `factors`, in that order. |g|_2 is first its upper bound
+    (1 + 1e-12) |g|_F and the SVD norm only where that bound reaches
+    _KEPS_BOUND, so the result passes as the SVD one would and is the SVD
+    one wherever it fails."""
+    def times(norm: float) -> float:
+        out = _UNIT_ROUNDOFF * norm
+        for f in factors:
+            out *= f
+        return out
+
+    upper = times(_norm(g.mat) * (1 + 1e-12))
+    return upper if upper < _KEPS_BOUND else times(g.opnorm)
 
 
 @lru_cache(maxsize=1)
@@ -326,7 +353,8 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
     adjoint W^-1 g^T W, which rounds nothing; n is read from the pairings of
     X. k_eps = g n^-1 a_-t reconstructs g by construction, so no residual
     sees its error: it is bounded a priori by u |g|_2 |n^-1|_2 e^(2|t|),
-    with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8.
+    with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8;
+    _keps_bound reads |g|_2 off the SVD only where it does not pass without.
     """
     cells = _cells(g.mat @ P_MINUS.vec)
     val = cells.keps
@@ -334,7 +362,8 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
         raise DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is below tolerance")
     # the bound without |n^-1|_2 >= 1, before the sign test: a cell value
     # lost in the rounding of g P_MINUS may carry either sign
-    bound = _UNIT_ROUNDOFF * g.opnorm * max(abs(val), 1.0 / abs(val))
+    scale = max(abs(val), 1.0 / abs(val))
+    bound = _keps_bound(g, scale)
     if not bound < _KEPS_BOUND:
         raise _near_boundary(
             "E2", val, f"error bound u |g|_2 e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
@@ -351,14 +380,15 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
         n, a = _V @ _graded_exp_N(1, *params) @ _V_INV, _a_matrix(t)
         n_inv = _adjoint(n)
         abs_n_inv = np.abs(n_inv)
-        bound *= math.sqrt(abs_n_inv.sum(axis=0).max() * abs_n_inv.sum(axis=1).max())
+        n_inv_norm = math.sqrt(abs_n_inv.sum(axis=0).max() * abs_n_inv.sum(axis=1).max())
+        bound = _keps_bound(g, scale, n_inv_norm)
         if not bound < _KEPS_BOUND:
             raise VerificationError(
                 f"error bound u |g|_2 |n^-1| e^(2|t|) = {bound:.3e} reaches {_KEPS_BOUND:.0e}"
             )
         k = g.mat @ n_inv @ _a_matrix(-t)
         what = "computed k_eps-factor does not fix E2"
-        residual = _certify(k, [E2], what, [k, a, n], g.mat, _gate(g))
+        residual = _certify(k, [E2], what, [k, a, n], g.mat, g)
         k_eps = GroupElement(k)
     except (DegeneratePairing, VerificationError) as exc:
         raise _near_boundary("E2", val, exc) from exc
@@ -424,12 +454,11 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     # the shape tolerance member_tol max(1, |Y|)
     kprime = _closed_cell_rotation(Y, max(member_tol(), cells.tol))
     c = closed_cell_rep()
-    gate = _gate(g)
-    m, a, n, t, params, _ = _graded_iwasawa(_adjoint(c.mat) @ kprime.mat @ g.mat, gate)
+    m, a, n, t, params, _ = _graded_iwasawa(_adjoint(c.mat) @ kprime.mat @ g.mat, g)
     m = GroupElement(m)
     k_eps = kprime.inv()
     what = "closed-cell m-factor fails the M stabilizer check"
-    residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c.mat, m.mat, a, n], g.mat, gate)
+    residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c.mat, m.mat, a, n], g.mat, g)
     return MatsukiFactors(
         cell="Closed", k_eps=k_eps, w=True, m=m, t=t, n=params, residual=residual
     )
@@ -505,7 +534,7 @@ def gauss(g: GroupElement) -> GaussFactors:
         zg, ng = _graded_exp_N(-1, *z_params), _graded_exp_N(1, *n_params)
         parts = [_V, zg, mg * np.exp(_GRADES * t), ng, _V_INV]
         what = "m-factor fails the M stabilizer check"
-        residual = _certify(m, _M_TARGETS, what, parts, g.mat, _gate(g))
+        residual = _certify(m, _M_TARGETS, what, parts, g.mat, g)
         m = GroupElement(m)
     except VerificationError as exc:
         raise _near_boundary("reflected", val, exc) from exc

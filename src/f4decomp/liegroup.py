@@ -20,30 +20,32 @@ Closed-form constructions:
   diagonal idempotents, constructed by a one-parameter rotation solve in
   the plane spanned by the source and target slot vectors. Its generator
   is the bracket of two raw slot generators, checked once as a derivation
-  by `expm`.
+  by `expm`; `_d4_rotate_matrix` takes the same solve and postcondition
+  through `_expm_matrix`, expm's series without its checks.
 
 Every GroupElement has passed `verify` under the gate
 group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
 property on all basis pairs and refuses non-finite matrices. The gate is
-tried first on the largest squared column norm, a lower bound of |m|_2^2,
-and falls back to the SVD norm only where that bound does not pass, so it
-decides as the SVD gate would; `opnorm` is computed on first read. `verify` and
+tried first on `_gate_floor`, a lower bound from the largest squared
+column norm, and falls back to the SVD norm only where that bound does not
+pass, so it decides as the SVD gate would; `decomp` gates its factors by
+the same rule, and `opnorm` is computed on first read. `verify` and
 `derivation_residual` lay both sides of the product rule out as [k, (i,j)],
 form them as plain matrix products on two cached layouts of
 `jordan.mul_tensor()`, and subtract in place: a call holds at most two
 27x729 temporaries (157 KB each) and leaves its input untouched. Public
-functions return GroupElements; the private `_exp_A_matrix` and
-`_exp_N_matrix` builders, and `_graded_exp_N` for
-V^-1 exp_N V in jordan's graded basis, return plain matrices, which the
-factorizations multiply unverified, wrapping only what they return. A
-lone word atom is the public verified element; inside a product the word
-evaluator takes G atoms from `_exp_N_matrix`, A, D4 and S atoms from the
-verified `exp_A`, `d4_rotate` and `sigma`, and verifies the product. Both
-invert by `_adjoint`: an automorphism
-keeps the trace pairing, so g^-1 = W^-1 g^T W, a transpose and exact
-scales by the pairing weights, which rounds nothing. `identity()` and `sigma(i)` are
-shared verified constants. AlgebraElement checks the derivation property
-unless built with check=False from already checked elements.
+functions return GroupElements; the private functions `_exp_A_matrix`,
+`_exp_N_matrix` and `_d4_rotate_matrix`, and `_graded_exp_N` for
+V^-1 exp_N V in jordan's graded basis, return plain matrices, which their
+callers multiply unverified, wrapping only what they return. A lone word
+atom is the public verified element; inside a product the word evaluator
+takes G atoms from `_exp_N_matrix`, D4 atoms from `_d4_rotate_matrix`, A
+and S atoms from the verified `exp_A` and `sigma`, and verifies the
+product. Both invert by `_adjoint`: an automorphism keeps the trace
+pairing, so g^-1 = W^-1 g^T W, a transpose and exact scales by the pairing
+weights, which rounds nothing. `identity()` and `sigma(i)` are shared
+verified constants. AlgebraElement checks the derivation property unless
+built with check=False from already checked elements.
 """
 
 from __future__ import annotations
@@ -170,20 +172,6 @@ class AlgebraElement:
     def apply(self, X: JordanElement) -> JordanElement:
         return JordanElement(self.mat @ X.vec)
 
-    def __add__(self, other):
-        return AlgebraElement(self.mat + other.mat, check=False)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.mat - other.mat, check=False)
-
-    def __neg__(self):
-        return AlgebraElement(-self.mat, check=False)
-
-    def __mul__(self, scalar):
-        return AlgebraElement(self.mat * float(scalar), check=False)
-
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         return _norm(self.mat)
 
@@ -191,14 +179,26 @@ class AlgebraElement:
         return f"AlgebraElement(norm={self.norm():.4g})"
 
 
+def _gate_floor(col_sq: float, tol: float) -> float:
+    """A lower bound of the gate tol * max(1, |g|_2^2) from the largest
+    squared column norm col_sq of g, less a rounding margin. A test passed
+    on it is passed on the norm, which is finite since |g|_2^2 <= 27 col_sq.
+    Where 27 col_sq is not finite it is 0, which passes only exact zeros
+    under a non-strict test and nothing under a strict one."""
+    if not math.isfinite(27.0 * col_sq):
+        return 0.0
+    return tol * max(1.0, col_sq * (1 - 1e-12))
+
+
 class GroupElement:
     """An automorphism of the algebra; verified at construction.
 
-    Keeps the automorphism residual; the operator 2-norm is computed on
-    first read of `opnorm` unless the gate already needed it.
+    Keeps the automorphism residual and the largest squared column norm;
+    the operator 2-norm is computed on first read of `opnorm` unless the
+    gate already needed it.
     """
 
-    __slots__ = ("mat", "residual", "_opnorm")
+    __slots__ = ("mat", "residual", "_opnorm", "_col_sq")
 
     def __init__(self, mat):
         arr = np.array(mat, dtype=float, order="C")
@@ -210,13 +210,11 @@ class GroupElement:
             residual = verify(arr)
             col_sq = float(np.einsum("ij,ij->j", arr, arr).max())
         # the product check is quadratic in the matrix, so the gate scales
-        # with the square of the operator norm. The largest squared column
-        # norm, less a rounding margin, bounds that square from below: a gate
-        # passed on the bound is passed on the norm, which is finite since
-        # |g|_2^2 <= 27 col_sq. Only the other cases need the SVD.
+        # with the square of the operator norm; only where its lower bound
+        # does not pass is the SVD needed
         tol = group_tol()
         opnorm = None
-        if not (math.isfinite(27.0 * col_sq) and residual < tol * max(1.0, col_sq * (1 - 1e-12))):
+        if not residual < _gate_floor(col_sq, tol):
             with np.errstate(over="ignore", invalid="ignore"):
                 opnorm = float(np.linalg.norm(arr, 2))
             norm_sq = opnorm * opnorm
@@ -228,6 +226,7 @@ class GroupElement:
         self.mat = arr
         self.residual = float(residual)
         self._opnorm = opnorm
+        self._col_sq = col_sq
 
     @property
     def opnorm(self) -> float:
@@ -570,13 +569,19 @@ def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:
 
 
 def expm(phi: AlgebraElement) -> GroupElement:
-    """Matrix exponential by scaling and squaring, series tolerance 1e-13."""
+    """Matrix exponential of a derivation, checked as one here, by scaling
+    and squaring with series tolerance 1e-13."""
     m = phi.mat
-    norm = _norm(m)
     res = derivation_residual(m)
     # written so that a NaN residual fails
-    if not res <= 1e-9 * max(1.0, norm):
+    if not res <= 1e-9 * max(1.0, _norm(m)):
         raise VerificationError(f"derivation residual {res:.3e} too large to exponentiate")
+    return GroupElement(_expm_matrix(m))
+
+
+def _expm_matrix(m: np.ndarray) -> np.ndarray:
+    """The series of expm on a plain matrix, with no check."""
+    norm = _norm(m)
     nsq = 0
     if norm > 0.5:
         nsq = max(0, int(math.ceil(math.log2(norm / 0.5))))
@@ -594,7 +599,7 @@ def expm(phi: AlgebraElement) -> GroupElement:
             raise RuntimeError("exponential series failed to converge")
     for _ in range(nsq):
         total = total @ total
-    return GroupElement(total)
+    return total
 
 
 # Basis of the 52-dimensional derivation algebra: the 24 slot generators
@@ -668,6 +673,34 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     [gen_A(j,a), gen_A(j,b)] kills every diagonal idempotent and acts on
     slot j as the plane rotation generator of span(a, b).
     """
+    solve = _d4_solve(j, u, v)
+    if solve is None:
+        return identity()
+    gen, *target = solve
+    # the bracket of two derivations is one; expm checks it once
+    k = expm(AlgebraElement(gen, check=False))
+    _d4_reaches(k.mat, *target)
+    return k
+
+
+def _d4_rotate_matrix(j: int, u, v) -> np.ndarray:
+    """The matrix of d4_rotate(j, u, v), bit for bit, from the same solve
+    with its input checks and postcondition; neither the generator nor the
+    result is verified."""
+    solve = _d4_solve(j, u, v)
+    if solve is None:
+        return identity().mat
+    gen, *target = solve
+    k = _expm_matrix(gen)
+    _d4_reaches(k, *target)
+    return k
+
+
+def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """The rotation solve of d4_rotate: None where v = u, else theta times
+    the generator, F(j, u) and F(j, v) at a common power-of-two scale, and
+    max(1, |u|) at that scale, the postcondition's tolerance factor."""
+    _cyclic(j)
     uv = oct._coerce(u)
     vv = oct._coerce(v)
     # the rotation is scale-invariant; dividing both vectors by a common power
@@ -693,7 +726,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     wn = _norm(w)
     if wn < 1e-13:
         if gamma > 0:
-            return identity()
+            return None
         # antipodal: rotate by pi in any plane through u
         k = int(np.argmin(np.abs(uhat)))
         b = np.zeros(8)
@@ -704,10 +737,9 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     else:
         bhat = w / wn
         dlt = float(vhat @ bhat)
-    # the bracket of two derivations is one; expm checks it once
     ga, gb = _gen_A_matrix(j, uhat), _gen_A_matrix(j, bhat)
-    gen = AlgebraElement(ga @ gb - gb @ ga, check=False) * 0.25
-    S = gen.mat[_SLOTS[j - 1], _SLOTS[j - 1]]
+    gen = (ga @ gb - gb @ ga) * 0.25
+    S = gen[_SLOTS[j - 1], _SLOTS[j - 1]]
     su = S @ uhat
     s = float(bhat @ su)
     # on span(u, b) the slot action must be u -> s b, b -> -s u with |s| = 1
@@ -719,12 +751,13 @@ def d4_rotate(j: int, u, v) -> GroupElement:
         raise RotationError("slot action of the rotation generator is not a plane rotation")
     # exp(theta*gen) maps uhat to cos(theta) uhat + s sin(theta) bhat
     theta = math.atan2(dlt * s, gamma)
-    k = expm(gen * theta)
-    got = k.mat @ F(j, us).vec
-    want = F(j, vs).vec
-    if _norm(got - want) > group_tol() * max(floor, nu):
+    return gen * theta, F(j, us).vec, F(j, vs).vec, max(floor, nu)
+
+
+def _d4_reaches(k: np.ndarray, src: np.ndarray, want: np.ndarray, scale: float) -> None:
+    # the postcondition of both routes: k maps F(j, u) to F(j, v)
+    if _norm(k @ src - want) > group_tol() * scale:
         raise RotationError("rotation solve failed to reach the target")
-    return k
 
 
 @functools.cache

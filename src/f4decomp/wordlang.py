@@ -7,7 +7,9 @@ printer emits a canonical form whose parse returns an equal tree.
 
 Evaluation multiplies the atom matrices as plain arrays, inverts by the
 pairing adjoint W^-1 g^T W, which rounds nothing, and verifies the word's
-value once; `eval_word` says which atoms are verified on their own.
+value once: inside a product G and D4 atoms are unverified matrices with
+the public constructors' input checks and bits. `eval_word` says which
+atoms are verified on their own.
 """
 
 from __future__ import annotations
@@ -280,9 +282,10 @@ def eval_word(word: GroupWord) -> GroupElement:
 
     A lone atom is the public verified element (`exp_A`, `exp_N`, `sigma`,
     `d4_rotate`). Inside a product or power, G atoms enter as the closed
-    form `liegroup._exp_N_matrix`, with exp_N's input checks and bits, and
-    only the word's value passes the gate; A, D4 and S atoms are still
-    verified elements there.
+    form `liegroup._exp_N_matrix` and D4 atoms as the rotation matrix
+    `liegroup._d4_rotate_matrix`, each with its public twin's input checks
+    and bits, and only the word's value passes the gate; A atoms are still
+    verified elements there and S atoms the cached verified constants.
     """
     # an overflowing atom or product leaves non-finite entries, which the
     # gate refuses; it is not reported as floating-point warnings
@@ -317,6 +320,8 @@ def _eval_matrix(word: GroupWord) -> np.ndarray:
         return out
     if isinstance(word, AtomG):
         return lg._exp_N_matrix(*_exp_N_args(word))
+    if isinstance(word, AtomD4):
+        return lg._d4_rotate_matrix(word.j, word.u, word.v)
     return _eval_atom(word).mat
 
 

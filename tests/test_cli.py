@@ -206,6 +206,14 @@ def test_verify_reports_large_residual(tmp_path, capsys):
     assert parse_out(out)["residual"] > 1e-3
 
 
+@pytest.mark.parametrize("word", ["D4(4,e1,e1)", "D4(0,2e3,2e3)*A3(0.1;1)", "D4(4,e1,e2)"])
+def test_d4_slot_index_exits_1(capsys, word):
+    code, out, err = run_cli(capsys, "eval", "--word", word)
+    assert code == 1 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ValueError" and "slot index" in data["message"]
+
+
 def test_overflow_is_a_json_error(capsys):
     code, out, err = run_cli(capsys, "eval", "--word", "A2(1000;1)")
     assert code == 1 and out == ""

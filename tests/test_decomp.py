@@ -517,6 +517,138 @@ def test_keps_factors_are_kept_per_element():
     assert m.t == f2.t and np.array_equal(m.k_eps.mat, f2.k_eps.mat)
 
 
+def _count_svd(monkeypatch):
+    """Records every np.linalg.norm(., 2) call, the SVD operator norm."""
+    calls = []
+    real = np.linalg.norm
+
+    def norm(m, ord=None):
+        if ord == 2:
+            calls.append(ord)
+        return real(m, ord)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return calls
+
+
+def _ulps_around(x):
+    return [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf), np.nextafter(np.nextafter(x, 0.0), 0.0)]
+
+
+# the torus element's largest column is well below its operator norm, so
+# between the column bound and the SVD gate only the SVD decides
+_BAND_ELEMENT = lg.exp_A(3, 0.5, 1.0).mat
+
+
+def test_certify_decides_like_the_svd_gate(monkeypatch):
+    g = lg.GroupElement(_BAND_ELEMENT)
+    exact = lg.group_tol() * max(1.0, float(np.linalg.norm(_BAND_ELEMENT, 2)) ** 2)
+    floor = lg._gate_floor(g._col_sq, lg.group_tol())
+    assert floor < exact
+    devs = _ulps_around(floor) + _ulps_around(exact) + [0.0, 0.5 * (floor + exact), 2 * exact]
+    zero, target = np.zeros((27, 27)), JordanElement(np.eye(27)[4])
+    calls = _count_svd(monkeypatch)
+    for d in devs + [math.nan]:
+        # the product of the parts is zero, so the residual is d exactly; the
+        # fixed factor moves the unit target e_4 by d e_7, so it deviates by d
+        mat, fixed = zero.copy(), np.eye(27)
+        mat[3, 5] = fixed[7, 4] = d
+        for args, passes in (
+            ((np.eye(27), [], "", [zero], mat), lambda gate: d <= gate),
+            ((fixed, [target], "fix", [zero], zero), lambda gate: lg._fixes(fixed, [target], gate)),
+        ):
+            calls.clear()
+            try:
+                dc._certify(*args, lg.GroupElement(_BAND_ELEMENT))
+                got = True
+            except lg.VerificationError:
+                got = False
+            assert got == passes(exact), d
+            # the SVD is read only where the column bound does not pass
+            assert len(calls) == (0 if passes(floor) else 1), d
+
+
+def test_keps_bound_decides_like_the_svd_bound(monkeypatch):
+    u, cap = dc._UNIT_ROUNDOFF, dc._KEPS_BOUND
+    sigma = float(np.linalg.norm(_BAND_ELEMENT, 2))
+    frob = float(np.linalg.norm(_BAND_ELEMENT))
+
+    def svd_bound(*factors):
+        out = u * sigma
+        for f in factors:
+            out *= f
+        return out
+
+    scales = _ulps_around(cap / (u * sigma)) + _ulps_around(cap / (u * frob * (1 + 1e-12)))
+    scales.append(cap / (u * math.sqrt(sigma * frob)))
+    cases = [(s,) for s in scales] + [(s / 3, 3.0) for s in scales] + [(1.0,), (1e30,)]
+    calls = _count_svd(monkeypatch)
+    decided_by_svd = 0
+    for factors in cases:
+        calls.clear()
+        got = dc._keps_bound(lg.GroupElement(_BAND_ELEMENT), *factors)
+        want = svd_bound(*factors)
+        assert (got < cap) == (want < cap), factors
+        if not want < cap:
+            assert got == want  # refusals name the SVD bound
+        decided_by_svd += len(calls) == 1 and want < cap
+    assert decided_by_svd > 0
+
+
+def _factor_outcomes(word):
+    """Each factorization of a fresh element of the word: its factors' bits, or
+    its refusal."""
+    g = eval_word(parse(word))
+    out = []
+    for op in (dc.iwasawa, dc.keps_iwasawa, dc.matsuki, dc.gauss):
+        try:
+            f = op(lg.GroupElement(g.mat))
+        except ValueError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        mats = [getattr(f, name).mat.tobytes() for name in ("k", "k_eps", "m") if hasattr(f, name)]
+        out.append((mats, f.t, f.residual, f.n.x.coeffs.tobytes(), f.n.p.coeffs.tobytes()))
+    return out
+
+
+def test_factorizations_decide_as_with_the_svd_gate(monkeypatch):
+    # across the keps refusal edge, where the Frobenius bound fails and the
+    # SVD decides at t = 4.29 and 4.366, and for closed-cell and gauss words
+    words = [f"G1(0.2e2)*A3({t!r};1)*A1(0.3;e1)" for t in (4.25, 4.29, 4.3, 4.366, 4.4, -4.5)]
+    words += [f"A3({t!r};1)" for t in (4.5, 4.75, -4.75, 16.0)]
+    words += ["A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)", "A1(-1.5707963267948966;1)*A3(0.2;1)",
+              "Gm1(0.2e2+0.1e4)*A3(0.35;1)", "S1*A3(-0.1;1)*G2(0.1e6)", DEEP_GAUSS_WORD]
+    fast = [_factor_outcomes(w) for w in words]
+    calls = _count_svd(monkeypatch)
+    for word in words[1], words[3]:
+        g = lg.GroupElement(eval_word(parse(word)).mat)
+        calls.clear()
+        dc.keps_iwasawa(g)
+        assert calls, word
+    # every test at the SVD gate and the SVD bound alone
+    monkeypatch.setattr(dc, "_gate_floor", lambda col_sq, tol: 0.0)
+    monkeypatch.setattr(dc, "_norm", lambda m: math.inf)
+    assert fast == [_factor_outcomes(w) for w in words]
+    refused = [r for outcomes in fast for r in outcomes if isinstance(r[0], str)]
+    assert 0 < len(refused) < 4 * len(words)
+
+
+def test_factorizations_of_benchmark_words_take_no_svd(monkeypatch):
+    words = [
+        "A3(0.3;1)*G1(0.2e1)*G2(0.1e3)*S1*A1(0.2;e2)",
+        "Gm1(0.3-0.1e2+0.2e5)*G1(0.1+0.2e3-0.1e7)*Gm2(0.15e4)",
+        "A2(0.1;0.6+0.8e3)*D4(2,e1+e2,e3-e5)*A3(0.08;1)*G2(0.1e1-0.2e6)",
+        "G1(0.15-0.14e1+0.17e4)*G2(-0.04e1-0.25e3+0.11e7)*S3",
+    ]
+    elements = [eval_word(parse(w)) for w in words]
+    calls = _count_svd(monkeypatch)
+    for g in elements:
+        dc.iwasawa(g)
+        dc.keps_iwasawa(g)
+        dc.gauss(g)
+    assert calls == []
+
+
 def test_iwasawa_n_matches_the_pairing_route(rng):
     # the parameters of n from the pairings of X = g^-1 E1
     for _ in range(20):

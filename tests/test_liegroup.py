@@ -449,6 +449,37 @@ def test_nilpotent_word_is_verified_once(monkeypatch):
     assert np.array_equal(g.mat, atoms[0].mat @ atoms[1].mat @ atoms[2].mat)
 
 
+def test_rotation_word_is_verified_once(monkeypatch):
+    text = "D4(2,e1,e2)*D4(3,1+e4,e2-e7)*S1"
+    atoms = [
+        lg.d4_rotate(2, Octonion.unit(1), Octonion.unit(2)),
+        lg.d4_rotate(3, Octonion.one() + Octonion.unit(4), Octonion.unit(2) - Octonion.unit(7)),
+        lg.sigma(1),
+    ]
+    calls = []
+    real_verify, real_derivation = lg.verify, lg.derivation_residual
+    monkeypatch.setattr(lg, "verify", lambda m: calls.append("verify") or real_verify(m))
+    monkeypatch.setattr(
+        lg, "derivation_residual", lambda m: calls.append("derivation") or real_derivation(m)
+    )
+    g = eval_word(parse(text))
+    assert calls == ["verify"]  # the product only; neither generator is checked
+    assert np.array_equal(g.mat, atoms[0].mat @ atoms[1].mat @ atoms[2].mat)
+
+
+@pytest.mark.parametrize("j", [0, 4, -1])
+def test_d4_slot_index_is_checked_on_both_routes(j):
+    # v = u is the identity rotation, which must not skip the slot check
+    e1, e3 = Octonion.unit(1), 2.0 * Octonion.unit(3)
+    with pytest.raises(ValueError, match="slot index"):
+        lg.d4_rotate(j, e1, e1)
+    with pytest.raises(ValueError, match="slot index"):
+        lg._d4_rotate_matrix(j, e3, e3)
+    for text in (f"D4({j},e1,e1)", f"D4({j},2e3,2e3)*A3(0.1;1)", f"D4({j},e1,e1)^2"):
+        with pytest.raises(ValueError, match="slot index"):
+            eval_word(parse(text))
+
+
 def test_inverse_and_apply(rng):
     g = lg.exp_A(2, 0.3, random_unit(rng))
     gi = g.inv()

@@ -207,3 +207,50 @@ def test_equal_atoms_hash_equal():
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def _d4_parity_cases():
+    """(j, u, v) rotation arguments that the public d4_rotate accepts or
+    refuses: norm mismatches, zero vectors, antipodal and equal pairs, each
+    scaled from 1e-300 to 1e300, and slot indices outside 1..3."""
+    e = np.eye(8)
+    rng = np.random.default_rng(25)
+    u, w = rng.standard_normal(8), rng.standard_normal(8)
+    pairs = [
+        (e[1], e[2]), (u, w * (np.linalg.norm(u) / np.linalg.norm(w))),
+        (e[1], 2 * e[1]), (e[0], (1 + 1e-8) * e[0]), (u, 1.5 * u),
+        (0 * e[0], 0 * e[0]), (0 * e[0], e[3]), (e[5], 0 * e[0]),
+        (e[1], -e[1]), (u, -u), (e[0] + e[2], -e[0] - e[2]),
+        (e[4], e[4]), (u, u),
+    ]
+    cases = []
+    for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+        for a, b in pairs:
+            for j in (1, 2, 3):
+                cases.append((j, Octonion(scale * a), Octonion(scale * b)))
+    cases += [(j, Octonion(e[1]), Octonion(b)) for j in (0, 4) for b in (e[1], e[2], 0 * e[0])]
+    return cases
+
+
+def _outcome(word):
+    try:
+        g = eval_word(word)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return g.mat.tobytes(), g.residual
+
+
+def test_d4_atoms_in_products_refuse_as_the_public_atom(monkeypatch):
+    # D4 atoms inside products take the raw route; the public d4_rotate's
+    # matrix in its place must give the same value, or the same refusal
+    words = []
+    for j, u, v in _d4_parity_cases():
+        atom = AtomD4(j, u, v)
+        words += [Product((atom, AtomS(1))), Product((AtomA(3, 0.1, Octonion.one()), atom))]
+        words.append(Power(atom, -2))
+    raw = [_outcome(w) for w in words]
+    monkeypatch.setattr(lg, "_d4_rotate_matrix", lambda j, u, v: lg.d4_rotate(j, u, v).mat)
+    public = [_outcome(w) for w in words]
+    assert raw == public
+    refused = sum(isinstance(r[0], str) for r in raw)
+    assert 0 < refused < len(raw)
