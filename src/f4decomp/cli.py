@@ -247,9 +247,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _max_abs_dev(got, want) -> float | None:
-    """Largest absolute difference between the numbers of two records, or
-    None when their keys, lengths, types or non-numeric values differ."""
+def _max_dev(got, want, rel: bool = False) -> float | None:
+    """Largest difference |got - want| between the numbers of two records,
+    each divided by max(1, |want|) when `rel`, or None when their keys,
+    lengths, types or non-numeric values differ."""
     if isinstance(got, dict) and isinstance(want, dict):
         if got.keys() != want.keys():
             return None
@@ -259,10 +260,11 @@ def _max_abs_dev(got, want) -> float | None:
             return None
         pairs = list(zip(got, want))
     elif type(got) in (int, float) and type(want) in (int, float):
-        return abs(got - want)
+        dev = abs(got - want)
+        return dev / max(1.0, abs(want)) if rel else dev
     else:
         return 0.0 if type(got) is type(want) and got == want else None
-    devs = [_max_abs_dev(a, b) for a, b in pairs]
+    devs = [_max_dev(a, b, rel) for a, b in pairs]
     return None if None in devs else max(devs, default=0.0)
 
 
@@ -291,13 +293,15 @@ def _cmd_selftest(args) -> int:
             if _canon(got) != _canon(expected):
                 failures.append({
                     "line": lineno, "op": op, "word": rec["word"],
-                    "max_abs_dev": _max_abs_dev(got, expected),
+                    "max_abs_dev": _max_dev(got, expected),
+                    "max_rel_dev": _max_dev(got, expected, rel=True),
                 })
     out = {"fixtures": str(path), "checked": checked, "failed": len(failures)}
     if failures:
-        # the listing stops at ten records; the largest deviation covers all
-        devs = [f["max_abs_dev"] for f in failures]
-        out["max_abs_dev"] = None if None in devs else max(devs)
+        # the listing stops at ten records; the largest deviations cover all
+        for key in ("max_abs_dev", "max_rel_dev"):
+            devs = [f[key] for f in failures]
+            out[key] = None if None in devs else max(devs)
         out["failures"] = failures[:10]
     print(_canon(out))
     return 0 if checked > 0 and not failures else 1

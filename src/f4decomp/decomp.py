@@ -26,17 +26,23 @@ closed-form route the tests compare gauss against, keeps the public exp_N.
 Every cell and orbit decision is one cell test, _cells(X), on X = g P_MINUS
 or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 (X|reflected), for the reflected null vector h1(-1,1,0;0,0,-1), the Bruhat
-cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
-certificate, _certify, checks that the k, k_eps or m factor fixes its targets
-and that the product reconstructs g, both at one gate,
+cell and the N^- orbit, each closed where |value| <= member_tol |X|. The
+cells of g P_MINUS are formed once per element (_element_cells, kept for the
+last element like keps_iwasawa's result) and read by both classifiers,
+keps_iwasawa, matsuki and gauss. One certificate per factorization,
+_certify, checks that the k, k_eps or m factor fixes its targets and that
+the product reconstructs g, both at one gate,
 group_tol * max(1, |g|_2^2). Each test is monotone in the gate and is tried
 first at liegroup's lower bound of it from g's largest squared column, and at
 the SVD gate only where that fails; keps_iwasawa's a-priori bound likewise
 reads |g|_2 off the SVD only where its upper bound (1 + 1e-12) |g|_F does not
 pass. So every decision is the SVD gate's, and every refusal names the exact
-values. Each factorization verifies the group elements
-it returns (k, k_eps, m) once. An overflow on the way leaves non-finite values,
-refused as typed errors by these gates, without floating-point warnings.
+values. Each factorization verifies the group elements it returns (k, k_eps,
+m) once. The closed Matsuki cell takes k_eps as its one verified rotation,
+d4_rotate(2, 1, x2 / r), aligns g with k_eps's adjoint, and certifies
+k_eps c m a_t n once; its Iwasawa step is not certified on its own. An
+overflow on the way leaves non-finite values, refused as typed errors by
+these gates, without floating-point warnings.
 """
 
 from __future__ import annotations
@@ -250,6 +256,21 @@ def _cells(X: np.ndarray) -> _Cells:
     return _Cells(float(X[1]), float(X @ _REFLECTED), member_tol() * float(np.linalg.norm(X)))
 
 
+@lru_cache(maxsize=1)
+def _element_cells(g: GroupElement, mtol: float) -> tuple[np.ndarray, _Cells]:
+    """g P_MINUS, read-only, and its cells for the last element asked at
+    member tolerance `mtol`, shared by the classifiers and the factorizations.
+    Keyed like _keps_factors: the element hashes by identity and is held by
+    the cache."""
+    Y = g.mat @ P_MINUS.vec
+    Y.setflags(write=False)
+    return Y, _cells(Y)
+
+
+def _g_cells(g: GroupElement) -> _Cells:
+    return _element_cells(g, member_tol())[1]
+
+
 def _near_boundary(pairing: str, val: float, why) -> DegenerateCell:
     # inside the open cell but too near its boundary for the factors to be
     # representable at tolerance
@@ -291,13 +312,14 @@ def nx_closed_form(X: JordanElement) -> JordanElement:
     return JordanElement(vec)
 
 
-def _graded_iwasawa(mat: np.ndarray, g: GroupElement) -> tuple:
+def _graded_iwasawa(mat: np.ndarray) -> tuple:
     """mat = k a_t n with k fixing E1, on plain matrices, by one Householder QR.
 
     In scaled graded coordinates k is orthogonal and a_t n upper triangular
     with a positive diagonal, so U^-1 mat U = Q R with diag(R) > 0 gives k = Q,
     t = log(R_00) / 2 and n from R's top row. Returns the matrices k, a_t and
-    n, t, n's parameters and the residual, certified at g's gate.
+    n, t and n's parameters, uncertified: each caller certifies its own
+    factorization once.
     """
     q, r = np.linalg.qr(_U_INV @ mat @ _U)
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
@@ -308,16 +330,16 @@ def _graded_iwasawa(mat: np.ndarray, g: GroupElement) -> tuple:
     t = 0.5 * math.log(top[0])
     params = _nilpotent_params(top * _ROOT_GRAM / (_ROOT_GRAM[0] * top[0]), 1)
     k = _U @ (q * sign) @ _U_INV
-    a, n = _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV
-    what = "computed k-factor does not fix E1"
-    return k, a, n, t, params, _certify(k, [E1], what, [k, a, n], mat, g)
+    return k, _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV, t, params
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1; where k cannot be
     certified at tolerance it raises VerificationError."""
-    k, _, _, t, params, residual = _graded_iwasawa(g.mat, g)
+    k, a, n, t, params = _graded_iwasawa(g.mat)
+    what = "computed k-factor does not fix E1"
+    residual = _certify(k, [E1], what, [k, a, n], g.mat, g)
     return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
@@ -356,7 +378,7 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
     with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8;
     _keps_bound reads |g|_2 off the SVD only where it does not pass without.
     """
-    cells = _cells(g.mat @ P_MINUS.vec)
+    cells = _g_cells(g)
     val = cells.keps
     if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is below tolerance")
@@ -410,10 +432,11 @@ def _require_shape(checks: list[tuple[str, float]], tol: float) -> None:
             raise ShapeViolation(f"component {name} = {dev:.3e} exceeds tolerance {tol:.1e}")
 
 
-def _closed_cell_rotation(Y: JordanElement, tol: float) -> GroupElement:
-    """The slot-2 rotation that takes Y, of the closed-cell shape
-    h1(-r, 0, r; 0, x2, 0) with r = |x2| > 0 checked at `tol`, to r times
-    the quarter-turn image h1(-1,0,1;0,1,0) of the base null vector."""
+def _closed_cell_direction(Y: JordanElement, tol: float) -> Octonion:
+    """The unit direction x2 / r of Y, of the closed-cell shape
+    h1(-r, 0, r; 0, x2, 0) with r = |x2| > 0 checked at `tol`. The slot-2
+    rotation from it to 1 takes Y to r times the quarter-turn image
+    h1(-1,0,1;0,1,0) of the base null vector."""
     xi1, xi2, xi3 = Y.xi
     x2v = Y.slot(2)
     r = float(np.linalg.norm(x2v))
@@ -429,7 +452,7 @@ def _closed_cell_rotation(Y: JordanElement, tol: float) -> GroupElement:
     )
     if r <= tol:
         raise ShapeViolation("image of the base null vector is numerically zero")
-    return d4_rotate(2, Octonion(x2v / r), Octonion.one())
+    return Octonion(x2v / r)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -438,25 +461,26 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
     On the open cell this is keps_iwasawa with a trivial m, and shares its
     result for the same element. On the closed cell the image of the base
-    null vector has the shape h1(-r, 0, r; 0, x2, 0) with r = |x2|; a slot-2
-    rotation aligns x2 with 1, after which conjugating the pivot away leaves
-    an element fixing the base ray, whose own Iwasawa k-factor must land in
-    the joint stabilizer M.
+    null vector has the shape h1(-r, 0, r; 0, x2, 0) with r = |x2|; k_eps is
+    the slot-2 rotation from 1 to x2 / r, and g aligned by its adjoint, with
+    the pivot conjugated away, fixes the base ray. Its Iwasawa k-factor is m,
+    and one certificate checks that m lies in the joint stabilizer M and
+    that k_eps c m a_t n reconstructs g.
     """
-    Y = g.apply(P_MINUS)
-    cells = _cells(Y.vec)
+    mtol = member_tol()
+    Y, cells = _element_cells(g, mtol)
     if not cells.closed(cells.keps):
-        f = _keps_factors(g, (group_tol(), member_tol()))
+        f = _keps_factors(g, (group_tol(), mtol))
         return MatsukiFactors(
             cell="Open", k_eps=f.k_eps, w=False, m=identity(), t=f.t, n=f.n, residual=f.residual
         )
 
     # the shape tolerance member_tol max(1, |Y|)
-    kprime = _closed_cell_rotation(Y, max(member_tol(), cells.tol))
+    xhat = _closed_cell_direction(JordanElement(Y), max(mtol, cells.tol))
+    k_eps = d4_rotate(2, Octonion.one(), xhat)
     c = closed_cell_rep()
-    m, a, n, t, params, _ = _graded_iwasawa(_adjoint(c.mat) @ kprime.mat @ g.mat, g)
+    m, a, n, t, params = _graded_iwasawa(_adjoint(c.mat) @ _adjoint(k_eps.mat) @ g.mat)
     m = GroupElement(m)
-    k_eps = kprime.inv()
     what = "closed-cell m-factor fails the M stabilizer check"
     residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c.mat, m.mat, a, n], g.mat, g)
     return MatsukiFactors(
@@ -466,14 +490,14 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
 def bruhat_classify(g: GroupElement) -> str:
     """Cell label of g: "OpenCell" for the dense cell, "ClosedCell" otherwise."""
-    cells = _cells(g.mat @ P_MINUS.vec)
+    cells = _g_cells(g)
     return "ClosedCell" if cells.closed(cells.bruhat) else "OpenCell"
 
 
 def matsuki_classify(g: GroupElement) -> str:
     """Cell label of g in the two-cell stratification: "OpenCell" when
     keps_iwasawa applies, "ClosedCell" otherwise."""
-    cells = _cells(g.mat @ P_MINUS.vec)
+    cells = _g_cells(g)
     return "ClosedCell" if cells.closed(cells.keps) else "OpenCell"
 
 
@@ -508,7 +532,7 @@ def gauss(g: GroupElement) -> GaussFactors:
     Failures of the M stabilizer and reconstruction gates on m are reported
     as DegenerateCell.
     """
-    cells = _cells(g.mat @ P_MINUS.vec)
+    cells = _g_cells(g)
     val = cells.bruhat
     if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|reflected) = {val:.3e} is below tolerance")
@@ -580,7 +604,8 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
     cells = _cells(Xh.vec)
     val, tol = cells.keps, cells.tol
     if cells.closed(val):
-        label, witness, target = "P13orbit", _closed_cell_rotation(Xh, tol), P13_MINUS.vec
+        rot = d4_rotate(2, _closed_cell_direction(Xh, tol), Octonion.one())
+        label, witness, target = "P13orbit", rot, P13_MINUS.vec
     else:
         if val < 0.0:
             raise VerificationError(f"(X|E2) = {val:.3e} negative; sign dichotomy violated")

@@ -19,9 +19,13 @@ Closed-form constructions:
 * d4_rotate: elements of the rank-four rotation subgroup fixing all three
   diagonal idempotents, constructed by a one-parameter rotation solve in
   the plane spanned by the source and target slot vectors. Its generator
-  is the bracket of two raw slot generators, checked once as a derivation
-  by `expm`; `_d4_rotate_matrix` takes the same solve and postcondition
-  through `_expm_matrix`, expm's series without its checks.
+  is 1/4 the bracket of two slot generators, formed as its three 8x8 slot
+  blocks (`_d4_generator`) and checked once as a derivation by `expm`;
+  `_d4_rotate_matrix` takes the same solve and postcondition through
+  `_expm_matrix` without the check.
+* expm: `_expm_matrix` scales to Frobenius norm at most 0.5, evaluates the
+  degree-16 Taylor polynomial by Paterson-Stockmeyer in six products (no
+  per-term norm, no convergence loop), and squares back.
 
 Every GroupElement has passed `verify` under the gate
 group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
@@ -510,10 +514,12 @@ def _graded_generators(level: int) -> np.ndarray:
 
 def _quartic_exp(gen: np.ndarray) -> np.ndarray:
     """exp(N) for a nilpotent N with N^5 = 0, in the Horner form of
-    I + N + N^2/2 + N^3/6 + N^4/24."""
-    m = _EYE + gen / 4
+    I + N + N^2/2 + N^3/6 + N^4/24. Each step adds I in place; N / 1 is N."""
+    m = gen / 4
+    m += _EYE
     for k in (3, 2, 1):
-        m = _EYE + (gen / k) @ m
+        m = (gen / k if k > 1 else gen) @ m
+        m += _EYE
     return m
 
 
@@ -569,8 +575,8 @@ def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:
 
 
 def expm(phi: AlgebraElement) -> GroupElement:
-    """Matrix exponential of a derivation, checked as one here, by scaling
-    and squaring with series tolerance 1e-13."""
+    """Matrix exponential of a derivation, checked as one here, by
+    `_expm_matrix`."""
     m = phi.mat
     res = derivation_residual(m)
     # written so that a NaN residual fails
@@ -579,24 +585,31 @@ def expm(phi: AlgebraElement) -> GroupElement:
     return GroupElement(_expm_matrix(m))
 
 
+# The degree-16 Taylor polynomial of exp as four blocks in powers of X^4:
+# row k holds the coefficients 1/(4k + i)! of I, X, X^2, X^3 in block k
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * k + i) for i in range(4)] for k in range(4)])
+_TAYLOR_16 = 1.0 / math.factorial(16)
+
+
 def _expm_matrix(m: np.ndarray) -> np.ndarray:
-    """The series of expm on a plain matrix, with no check."""
+    """exp(m) on a plain matrix, with no check: scaled by 2^-s to Frobenius
+    norm at most 0.5, where the degree-16 Taylor polynomial is exact to below
+    1e-19, evaluated by Paterson-Stockmeyer in six products (X^2, X^3, X^4
+    and three Horner steps in X^4), then squared s times."""
     norm = _norm(m)
     nsq = 0
     if norm > 0.5:
         nsq = max(0, int(math.ceil(math.log2(norm / 0.5))))
-    small = m / (2.0**nsq)
-    term = np.eye(27)
-    total = np.eye(27)
-    k = 1
-    while True:
-        term = term @ small / k
-        total = total + term
-        if _norm(term) < 1e-13:
-            break
-        k += 1
-        if k > 60:
-            raise RuntimeError("exponential series failed to converge")
+    x = m / (2.0**nsq)
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    blocks = (_TAYLOR_BLOCKS @ np.stack((_EYE, x, x2, x3)).reshape(4, 729)).reshape(4, 27, 27)
+    total = _TAYLOR_16 * x4
+    total += blocks[3]
+    for k in (2, 1, 0):
+        total = x4 @ total
+        total += blocks[k]
     for _ in range(nsq):
         total = total @ total
     return total
@@ -660,7 +673,8 @@ def stabilizer_check(
 
 def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:
     for t in targets:
-        if _norm(mat @ t.vec - t.vec) > tol * max(1.0, t.norm()):
+        # written so that a NaN deviation fails
+        if not _norm(mat @ t.vec - t.vec) <= tol * max(1.0, t.norm()):
             return False
     return True
 
@@ -677,7 +691,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     if solve is None:
         return identity()
     gen, *target = solve
-    # the bracket of two derivations is one; expm checks it once
+    # a bracket of two derivations is one; expm checks it once
     k = expm(AlgebraElement(gen, check=False))
     _d4_reaches(k.mat, *target)
     return k
@@ -705,7 +719,8 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
     vv = oct._coerce(v)
     # the rotation is scale-invariant; dividing both vectors by a common power
     # of two is exact, keeps their squared norms in range, and scales every
-    # comparison below (floor = the scaled 1 of max(1, |u|)) without rounding
+    # comparison below (floor = the scaled 1 of the postcondition's
+    # max(1, |u|)) without rounding
     _, e = math.frexp(float(max(np.abs(uv).max(), np.abs(vv).max())))
     e = max(e, -1000)  # keeps floor finite for subnormal input
     us, vs = np.ldexp(uv, -e), np.ldexp(vv, -e)
@@ -714,7 +729,8 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
     nv = _norm(vs)
     if nu <= 0 or nv <= 0:
         raise ValueError("u and v must be nonzero")
-    if abs(nu - nv) > 1e-9 * max(floor, nu):
+    # relative at every scale; written so that a NaN norm fails
+    if not abs(nu - nv) <= 1e-9 * nu:
         with np.errstate(over="ignore"):
             nu, nv = _norm(uv), _norm(vv)
         raise ValueError(f"norm mismatch: |u| = {nu}, |v| = {nv}")
@@ -737,8 +753,7 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
     else:
         bhat = w / wn
         dlt = float(vhat @ bhat)
-    ga, gb = _gen_A_matrix(j, uhat), _gen_A_matrix(j, bhat)
-    gen = (ga @ gb - gb @ ga) * 0.25
+    gen = _d4_generator(j, uhat, bhat)
     S = gen[_SLOTS[j - 1], _SLOTS[j - 1]]
     su = S @ uhat
     s = float(bhat @ su)
@@ -752,6 +767,27 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
     # exp(theta*gen) maps uhat to cos(theta) uhat + s sin(theta) bhat
     theta = math.atan2(dlt * s, gamma)
     return gen * theta, F(j, us).vec, F(j, vs).vec, max(floor, nu)
+
+
+def _d4_generator(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1/4 [gen_A(j, a), gen_A(j, b)] from its three 8x8 slot blocks, with no
+    27x27 product. gen_A(j, .) couples slot j only to the diagonal, which
+    gives -s (a b^T - b a^T) there, s the sign of its diagonal rows; on the
+    other two slots its blocks P (third slot into second) and Q (second into
+    third) give 1/4 (P_a Q_b - P_b Q_a) and 1/4 (Q_a P_b - Q_b P_a)."""
+    i0, i1, i2 = _cyclic(j)
+    ab = np.stack((a, b))
+    # C R_a and C L_a for a and b, as in _gen_A_matrix; there P Q = CR CL for
+    # slots 2 and 3, and P = -CR, Q = CL for slot 1
+    CR = np.einsum("ijk,nj->nki", oct.MUL_TENSOR, ab) * oct._CONJ_SIGNS[:, None]
+    CL = np.einsum("ijk,ni->nkj", oct.MUL_TENSOR, ab) * oct._CONJ_SIGNS[:, None]
+    quarter = -0.25 if j == 1 else 0.25
+    sign = 1.0 if j == 1 else -1.0
+    gen = np.zeros((27, 27))
+    gen[_SLOTS[i0], _SLOTS[i0]] = -sign * (np.outer(a, b) - np.outer(b, a))
+    gen[_SLOTS[i1], _SLOTS[i1]] = quarter * (CR[0] @ CL[1] - CR[1] @ CL[0])
+    gen[_SLOTS[i2], _SLOTS[i2]] = quarter * (CL[0] @ CR[1] - CL[1] @ CR[0])
+    return gen
 
 
 def _d4_reaches(k: np.ndarray, src: np.ndarray, want: np.ndarray, scale: float) -> None:

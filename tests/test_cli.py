@@ -11,7 +11,7 @@ import pytest
 from conftest import DEEP_GAUSS_WORD
 from f4decomp import cli
 from f4decomp import liegroup as lg
-from f4decomp.octonion import Octonion
+from f4decomp.octonion import Octonion, format_octonion
 from f4decomp.wordlang import eval_word, parse
 
 
@@ -212,6 +212,16 @@ def test_d4_slot_index_exits_1(capsys, word):
     assert code == 1 and out == ""
     data = json.loads(err)
     assert data["error"] == "ValueError" and "slot index" in data["message"]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+@pytest.mark.parametrize("tail", ["", "*A3(0.1;1)"])
+def test_d4_norm_mismatch_exits_1_at_small_scales(capsys, scale, tail):
+    u, v = (format_octonion(s * np.eye(8)[1]) for s in (scale, 2 * scale))
+    code, out, err = run_cli(capsys, "eval", "--word", f"D4(1,{u},{v}){tail}")
+    assert code == 1 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ValueError" and "norm mismatch" in data["message"]
 
 
 def test_overflow_is_a_json_error(capsys):
@@ -422,6 +432,31 @@ def test_selftest_detects_drift(tmp_path, capsys):
     report = parse_out(out)
     assert (report["failed"], len(report["failures"])) == (12, 10)
     assert abs(report["max_abs_dev"] - 1.001) <= 1e-12
+
+
+def test_selftest_reports_relative_drift(tmp_path, capsys):
+    # each number's deviation over max(1, |want|): t near 4 moved by 1e-3 is
+    # about 2.5e-4 relative; the residual moved by 1e-20 stays 1e-20
+    code, out, _ = run_cli(capsys, "iwasawa", "--word", "A3(4;1)")
+    expect = parse_out(out)
+    assert code == 0 and abs(expect["t"] - 4.0) <= 1e-12
+    path = tmp_path / "cases.jsonl"
+    for field, delta in (("t", 1e-3), ("residual", 1e-20)):
+        want = expect[field] + delta
+        rec = {"word": "A3(4;1)", "expect": {"iwasawa": dict(expect, **{field: want})}}
+        path.write_text(json.dumps(rec) + "\n")
+        code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
+        assert code == 1
+        report = parse_out(out)
+        (failure,) = report["failures"]
+        rel = delta / max(1.0, abs(want))
+        assert abs(failure["max_rel_dev"] - rel) <= 1e-6 * rel
+        assert report["max_rel_dev"] == failure["max_rel_dev"]
+        assert abs(failure["max_abs_dev"] - delta) <= 1e-6 * delta
+    rec = {"word": "A3(4;1)", "expect": {"iwasawa": {"kind": "iwasawa"}}}
+    path.write_text(json.dumps(rec) + "\n")
+    code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
+    assert parse_out(out)["failures"][0]["max_rel_dev"] is None
 
 
 def test_import_loads_no_scipy():

@@ -162,6 +162,22 @@ def test_matsuki_closed_cell(rng):
         assert np.max(np.abs(rebuilt.mat - g.mat)) <= 1e-7
 
 
+def test_closed_matsuki_verifies_its_rotation_and_m_once(rng, monkeypatch):
+    c = dc.closed_cell_rep()
+    g = random_keps(rng) @ c @ random_m(rng) @ lg.exp_A(3, 0.2, 1.0)
+    assert dc.matsuki_classify(g) == "ClosedCell"
+    calls = []
+    real = lg.verify
+    monkeypatch.setattr(lg, "verify", lambda m: calls.append(1) or real(m))
+    f = dc.matsuki(g)
+    assert f.cell == "Closed"
+    assert len(calls) == 2  # k_eps, the one d4_rotate, and m
+    # k_eps is the slot-2 rotation from 1 to the direction of g P_MINUS
+    x2 = g.apply(P_MINUS).slot(2)
+    want = F(2, Octonion(x2 / np.linalg.norm(x2))).vec
+    assert np.max(np.abs(f.k_eps.mat @ F(2, 1.0).vec - want)) <= 1e-12
+
+
 def test_matsuki_exactly_one_cell(rng):
     for _ in range(20):
         g = random_group(rng)

@@ -292,6 +292,24 @@ def test_d4_rotate_rejects_unequal_norms(rng):
         lg.d4_rotate(1, Octonion.one(), Octonion.from_scalar(2.0))
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_d4_norm_check_is_relative_at_small_scales(scale):
+    # |v| = 2 |u| is refused at every scale, as it is at scale 1
+    e1 = np.eye(8)[1]
+    u, v = scale * e1, 2 * scale * e1
+    with pytest.raises(ValueError, match="norm mismatch"):
+        lg.d4_rotate(1, u, v)
+    with pytest.raises(ValueError, match="norm mismatch"):
+        lg._d4_rotate_matrix(1, u, v)
+    word = f"D4(1,{oct.format_octonion(u)},{oct.format_octonion(v)})"
+    with pytest.raises(ValueError, match="norm mismatch"):
+        eval_word(parse(word))
+    # an equal-norm pair at the same scale still rotates
+    ref = lg.d4_rotate(1, e1, np.eye(8)[2]).mat
+    assert np.array_equal(lg.d4_rotate(1, u, scale * np.eye(8)[2]).mat, ref)
+    assert np.array_equal(lg._d4_rotate_matrix(1, u, scale * np.eye(8)[2]), ref)
+
+
 @pytest.mark.filterwarnings("error")
 def test_d4_rotate_is_scale_invariant(rng):
     # |u|^2 overflows past |u| ~ 1.3e154 and underflows below ~1e-154;
@@ -561,6 +579,51 @@ def test_expm_matches_scipy(rng):
     mat = sum(ci * b.mat for ci, b in zip(c, basis))
     got = lg.expm(lg.AlgebraElement(mat, check=False)).mat
     assert np.max(np.abs(got - scipy.linalg.expm(mat))) <= 1e-11
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2])
+def test_expm_matches_scipy_across_scales(rng, scale):
+    # the fixed-degree polynomial with its squarings, on derivations of
+    # Frobenius norm `scale`
+    basis = lg.basis52()
+    for _ in range(4):
+        mat = sum(ci * b.mat for ci, b in zip(rng.standard_normal(52), basis))
+        mat *= scale / np.linalg.norm(mat)
+        got = lg.expm(lg.AlgebraElement(mat, check=False)).mat
+        want = scipy.linalg.expm(mat)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _orthonormal_pair(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+    return q[:, 0], q[:, 1]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_d4_generator_is_the_quarter_bracket(rng, j):
+    def bracket(a, b):
+        ga, gb = lg.gen_A(j, a).mat, lg.gen_A(j, b).mat
+        return 0.25 * (ga @ gb - gb @ ga)
+
+    pairs = [_orthonormal_pair(rng) for _ in range(10)]
+    # the antipodal branch's plane: u and the coordinate axis least aligned
+    # with it, orthogonalized
+    u = random_unit(rng).coeffs
+    b = np.eye(8)[int(np.argmin(np.abs(u)))]
+    b -= (b @ u) * u
+    pairs.append((u, b / np.linalg.norm(b)))
+    for a, b in pairs:
+        assert np.max(np.abs(lg._d4_generator(j, a, b) - bracket(a, b))) <= 1e-15
+    # the solve's antipodal branch turns by pi or -pi in that plane
+    gen, ref = lg._d4_solve(j, u, -u)[0], math.pi * bracket(*pairs[-1])
+    dev = min(np.max(np.abs(gen - ref)), np.max(np.abs(gen + ref)))
+    assert dev <= 4 * math.pi * 1e-16
+
+
+def test_fixes_refuses_a_nan_deviation():
+    nan = JordanElement(np.full(27, np.nan))
+    assert not lg.stabilizer_check(lg.exp_A(3, 0.5, 1), [nan])
+    assert not lg.stabilizer_check(lg.identity(), [E1, nan])
 
 
 def test_m_basis_stabilizes(rng):
