@@ -28,7 +28,8 @@ or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 (X|reflected), for the reflected null vector h1(-1,1,0;0,0,-1), the Bruhat
 cell and the N^- orbit, each closed where |value| <= member_tol |X|. The
 cells of g P_MINUS are formed once per element (_element_cells, kept for the
-last element like keps_iwasawa's result) and read by both classifiers,
+last element like keps_iwasawa's result; both caches are keyed by the element
+alone, as the tolerances are fixed per process) and read by both classifiers,
 keps_iwasawa, matsuki and gauss. One certificate per factorization,
 _certify, checks that the k, k_eps or m factor fixes its targets and that
 the product reconstructs g, both at one gate,
@@ -257,18 +258,13 @@ def _cells(X: np.ndarray) -> _Cells:
 
 
 @lru_cache(maxsize=1)
-def _element_cells(g: GroupElement, mtol: float) -> tuple[np.ndarray, _Cells]:
-    """g P_MINUS, read-only, and its cells for the last element asked at
-    member tolerance `mtol`, shared by the classifiers and the factorizations.
-    Keyed like _keps_factors: the element hashes by identity and is held by
-    the cache."""
+def _element_cells(g: GroupElement) -> tuple[np.ndarray, _Cells]:
+    """g P_MINUS, read-only, and its cells for the last element asked,
+    shared by the classifiers and the factorizations. Keyed like
+    _keps_factors: the element hashes by identity and is held by the cache."""
     Y = g.mat @ P_MINUS.vec
     Y.setflags(write=False)
     return Y, _cells(Y)
-
-
-def _g_cells(g: GroupElement) -> _Cells:
-    return _element_cells(g, member_tol())[1]
 
 
 def _near_boundary(pairing: str, val: float, why) -> DegenerateCell:
@@ -365,11 +361,11 @@ def _keps_bound(g: GroupElement, *factors: float) -> float:
 
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")
-def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
-    """g = k_eps a_t n for the last element factored at tolerances `tols`,
-    shared by keps_iwasawa and matsuki's open cell; refusals are not kept.
-    An element hashes by identity and its matrix is read-only, and the cache
-    holds the element, so the key cannot match another input.
+def _keps_factors(g: GroupElement) -> KEpsFactors:
+    """g = k_eps a_t n for the last element factored, shared by keps_iwasawa
+    and matsuki's open cell; refusals are not kept. An element hashes by
+    identity and its matrix is read-only, and the cache holds the element, so
+    the key cannot match another input.
 
     The cell value is e^(2t) exactly, and X = g^-1 E2 the E2 row of the
     adjoint W^-1 g^T W, which rounds nothing; n is read from the pairings of
@@ -378,7 +374,7 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
     with |n^-1|_2 <= sqrt(|n^-1|_1 |n^-1|_inf), and refused from 1e-8;
     _keps_bound reads |g|_2 off the SVD only where it does not pass without.
     """
-    cells = _g_cells(g)
+    cells = _element_cells(g)[1]
     val = cells.keps
     if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|E2) = {val:.3e} is below tolerance")
@@ -420,7 +416,7 @@ def _keps_factors(g: GroupElement, tols: tuple[float, float]) -> KEpsFactors:
 def keps_iwasawa(g: GroupElement) -> KEpsFactors:
     """Open-cell factorization g = k_eps a_t n with k_eps fixing E2; on or
     too near the boundary of the cell it raises DegenerateCell."""
-    return _keps_factors(g, (group_tol(), member_tol()))
+    return _keps_factors(g)
 
 
 _M_TARGETS = [E1, E2, E3, F(3, 1.0)]
@@ -467,16 +463,15 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     and one certificate checks that m lies in the joint stabilizer M and
     that k_eps c m a_t n reconstructs g.
     """
-    mtol = member_tol()
-    Y, cells = _element_cells(g, mtol)
+    Y, cells = _element_cells(g)
     if not cells.closed(cells.keps):
-        f = _keps_factors(g, (group_tol(), mtol))
+        f = _keps_factors(g)
         return MatsukiFactors(
             cell="Open", k_eps=f.k_eps, w=False, m=identity(), t=f.t, n=f.n, residual=f.residual
         )
 
     # the shape tolerance member_tol max(1, |Y|)
-    xhat = _closed_cell_direction(JordanElement(Y), max(mtol, cells.tol))
+    xhat = _closed_cell_direction(JordanElement(Y), max(member_tol(), cells.tol))
     k_eps = d4_rotate(2, Octonion.one(), xhat)
     c = closed_cell_rep()
     m, a, n, t, params = _graded_iwasawa(_adjoint(c.mat) @ _adjoint(k_eps.mat) @ g.mat)
@@ -490,14 +485,14 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
 
 def bruhat_classify(g: GroupElement) -> str:
     """Cell label of g: "OpenCell" for the dense cell, "ClosedCell" otherwise."""
-    cells = _g_cells(g)
+    cells = _element_cells(g)[1]
     return "ClosedCell" if cells.closed(cells.bruhat) else "OpenCell"
 
 
 def matsuki_classify(g: GroupElement) -> str:
     """Cell label of g in the two-cell stratification: "OpenCell" when
     keps_iwasawa applies, "ClosedCell" otherwise."""
-    cells = _g_cells(g)
+    cells = _element_cells(g)[1]
     return "ClosedCell" if cells.closed(cells.keps) else "OpenCell"
 
 
@@ -532,7 +527,7 @@ def gauss(g: GroupElement) -> GaussFactors:
     Failures of the M stabilizer and reconstruction gates on m are reported
     as DegenerateCell.
     """
-    cells = _g_cells(g)
+    cells = _element_cells(g)[1]
     val = cells.bruhat
     if cells.closed(val):
         raise DegenerateCell(f"(g P_MINUS|reflected) = {val:.3e} is below tolerance")

@@ -101,14 +101,9 @@ class QuadratureSpec:
     max_panels: int = 1 << 14
 
 
-def _imaginary_check(p: Octonion, name: str) -> None:
-    if abs(float(p.coeffs[0])) > 1e-12 * max(1.0, p.norm()):
-        raise ValueError(f"{name} must be an imaginary octonion")
-
-
 def H_nbar(x: Octonion, p: Octonion, t: float = 0.0) -> float:
     """Radial logarithm of a_t times the lower nilpotent of data (x, p)."""
-    _imaginary_check(p, "p")
+    lg._imO(p)
     xx = x.norm_sq()
     pp = p.norm_sq()
     s = 2.0 * float(t)
@@ -162,7 +157,7 @@ def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     Evaluates ((1 + Q(X)/2)^2 + 2 Q(Y))^(lambda_alpha/4) with X and Y the
     level -1 and level -2 generators of x and p.
     """
-    _imaginary_check(p, "p")
+    lg._imO(p)
     la = _lam_alpha(lam)
     qx = q_form(lg.gen_G(-1, x)) if x.norm() > 0.0 else 0.0
     qy = q_form(lg.gen_G(-2, p)) if p.norm() > 0.0 else 0.0

@@ -309,9 +309,10 @@ def _eval_atom(word: GroupWord) -> GroupElement:
 
 def _eval_matrix(word: GroupWord) -> np.ndarray:
     if isinstance(word, Power):
-        if word.n == 0:
-            return lg.identity().mat
         base = _eval_matrix(word.base)
+        if word.n == 0:  # I only where X alone evaluates: its checks and its gate
+            GroupElement(base)
+            return lg.identity().mat
         return _power(base if word.n > 0 else lg._adjoint(base), abs(word.n))
     if isinstance(word, Product):
         out = _eval_matrix(word.factors[0])

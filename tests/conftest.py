@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from f4decomp import config
 from f4decomp import liegroup as lg
 from f4decomp.octonion import Octonion, format_octonion
 from f4decomp.wordlang import eval_word, parse
@@ -48,6 +49,24 @@ DEEP_GAUSS_WORD = (
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def tol_env(monkeypatch):
+    """tol_env(raw) sets F4DECOMP_TOL to `raw`, or removes it for None, and
+    clears the per-process tolerance cache, so the next call reads it; the
+    cache is cleared again on teardown, after the environment is restored."""
+
+    def set_tol(raw):
+        if raw is None:
+            monkeypatch.delenv(config.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(config.ENV_VAR, raw)
+        config._tols.cache_clear()
+
+    yield set_tol
+    monkeypatch.undo()
+    config._tols.cache_clear()
 
 
 def random_oct(rng, scale=1.0):

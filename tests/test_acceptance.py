@@ -271,8 +271,8 @@ def test_criterion_09_radial_spectral_functions():
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_10_cli_fixtures(capsys, monkeypatch):
-    monkeypatch.delenv("F4DECOMP_TOL", raising=False)
+def test_criterion_10_cli_fixtures(capsys, tol_env):
+    tol_env(None)
     assert cli.main(["selftest"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["checked"] >= 30

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -222,6 +223,17 @@ def test_d4_norm_mismatch_exits_1_at_small_scales(capsys, scale, tail):
     assert code == 1 and out == ""
     data = json.loads(err)
     assert data["error"] == "ValueError" and "norm mismatch" in data["message"]
+
+
+@pytest.mark.parametrize(
+    "base",
+    ["A1(0.3;2)", "G2(1)", "D4(2,e1,2e2)", "D4(7,e1,e2)", "S1*A1(0.3;2)", "(A3(0.5;1)^100000000)"],
+)
+def test_zeroth_power_keeps_its_base_checks(capsys, base):
+    # the factor alone refuses, and so does the zeroth power of a word holding it
+    want = run_cli(capsys, "eval", "--word", base.split("*")[-1])
+    assert want[0] == 1 and want[1] == ""
+    assert run_cli(capsys, "eval", "--word", f"{base}^0") == want
 
 
 def test_overflow_is_a_json_error(capsys):
@@ -474,3 +486,39 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bruhat"] == "closed"
+
+
+def _cli_process(*argv, tol=None):
+    """The command line in a fresh process, with F4DECOMP_TOL set to `tol`
+    or unset: the tolerance is read once per process."""
+    env = {k: v for k, v in os.environ.items() if k != "F4DECOMP_TOL"}
+    if tol is not None:
+        env["F4DECOMP_TOL"] = tol
+    return subprocess.run(
+        [sys.executable, "-m", "f4decomp.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_invalid_tolerance_env_is_one_json_error():
+    proc = _cli_process("eval", "--word", "S1", tol="nan")
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    data = json.loads(line)
+    assert data["error"] == "ValueError"
+    assert data["message"] == "F4DECOMP_TOL must be finite and positive, got 'nan'"
+
+
+def test_tolerance_env_sets_the_process_gates():
+    word = "A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"
+    # below the rounding of the product the word still passes its own gate,
+    # but its k_eps factor does not
+    assert _cli_process("eval", "--word", word, tol="3e-16").returncode == 0
+    for cmd in ("keps", "matsuki"):
+        proc = _cli_process(cmd, "--word", word, tol="3e-16")
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DegenerateCell"
+    loose = _cli_process("keps", "--word", word, tol="1e-6")
+    default = _cli_process("keps", "--word", word)
+    assert loose.returncode == default.returncode == 0
+    assert loose.stdout == default.stdout

@@ -1,7 +1,9 @@
 """Tests for the four global factorizations and the cell/orbit classifiers."""
 
 import math
+import os
 import re
+from collections.abc import MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from conftest import (
     random_oct,
     random_unit,
 )
+from f4decomp import config
 from f4decomp import decomp as dc
 from f4decomp import jordan
 from f4decomp import liegroup as lg
@@ -500,21 +503,49 @@ def test_keps_refusal_is_not_kept():
             dc.matsuki(g)
 
 
-def test_keps_factors_follow_the_tolerance(monkeypatch):
-    g = eval_word(parse("A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"))
-    f = dc.keps_iwasawa(g)
-    # the product gates refuse at a tolerance below rounding
-    monkeypatch.setenv("F4DECOMP_TOL", "1e-30")
-    with pytest.raises(dc.DegenerateCell):
-        dc.keps_iwasawa(g)
-    with pytest.raises(dc.DegenerateCell):
-        dc.matsuki(g)
-    monkeypatch.setenv("F4DECOMP_TOL", "1e-6")
-    h = dc.keps_iwasawa(g)
-    assert h is not f
-    _assert_same_keps(f, h)
-    monkeypatch.delenv("F4DECOMP_TOL")
-    assert dc.keps_iwasawa(g) is not h
+class _CountingEnviron(MutableMapping):
+    """os.environ, counting the reads of F4DECOMP_TOL."""
+
+    def __init__(self, env):
+        self.env, self.reads = env, 0
+
+    def __getitem__(self, key):
+        self.reads += key == config.ENV_VAR
+        return self.env[key]
+
+    def __setitem__(self, key, value):
+        self.env[key] = value
+
+    def __delitem__(self, key):
+        del self.env[key]
+
+    def __iter__(self):
+        return iter(self.env)
+
+    def __len__(self):
+        return len(self.env)
+
+
+def _word_factor_op(g):
+    """The decompositions a benchmark word takes: both labels and all four
+    factorizations, refusals included."""
+    dc.bruhat_classify(g), dc.matsuki_classify(g)
+    for factor in (dc.iwasawa, dc.matsuki, dc.keps_iwasawa, dc.gauss):
+        try:
+            factor(g)
+        except (dc.DegenerateCell, lg.VerificationError):
+            pass
+
+
+def test_tolerances_are_not_read_per_call(rng, tol_env, monkeypatch):
+    tol_env(None)
+    env = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    _word_factor_op(random_group(rng))
+    assert env.reads == 1
+    for _ in range(20):
+        _word_factor_op(random_group(rng))
+    assert env.reads == 1
 
 
 def test_keps_factors_are_kept_per_element():

@@ -44,6 +44,19 @@ def test_h_radial_shift(rng):
     assert abs(ha.H_nbar(x, p, t) - expect) <= 1e-14
 
 
+def test_h_radial_takes_exp_N_parameters_only():
+    # H_nbar is the Iwasawa projection of a_t exp_N(-1, x, p), so it refuses
+    # the p that exp_N refuses, with the same message
+    p = Octonion(1e-10 * Octonion.one().coeffs + 1e3 * Octonion.unit(1).coeffs)
+    with pytest.raises(ValueError) as want:
+        lg.exp_N(-1, Octonion.zero(), p)
+    for call in (lambda: ha.H_nbar(Octonion.zero(), p, 0.5),
+                 lambda: ha.exp_lambda_H(Octonion.zero(), p, 2.0)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value) == "parameter must be imaginary, got re = 1e-10"
+
+
 def test_root_normalization():
     assert abs(ha.alpha_norm() - 1.0 / 72.0) <= 1e-15
     assert ha.RHO_ALPHA == 22.0

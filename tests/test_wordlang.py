@@ -137,7 +137,8 @@ def test_eval_power_semantics():
     assert np.max(np.abs(g.mat - h.mat)) <= 1e-12
     gi = eval_word(parse("A3(0.3;1)^-1"))
     assert np.max(np.abs(gi.mat - lg.exp_A(3, -0.3, 1.0).mat)) <= 1e-12
-    assert np.array_equal(eval_word(parse("S2^0")).mat, np.eye(27))
+    for text in ("S1^0", "S2^0"):
+        assert np.array_equal(eval_word(parse(text)).mat, np.eye(27))
 
 
 def test_eval_left_to_right():
@@ -158,6 +159,19 @@ def test_constraints_deferred_to_eval():
     w = parse("D4(1,e1,2e1)")
     with pytest.raises(ValueError):
         eval_word(w)
+
+
+@pytest.mark.parametrize(
+    "base",
+    ["A1(0.3;2)", "G2(1)", "D4(2,e1,2e2)", "D4(7,e1,e2)", "S1*A1(0.3;2)", "(A3(0.5;1)^100000000)"],
+)
+def test_zeroth_power_keeps_its_base_checks(base):
+    # X^0 evaluates and gates X, so it refuses as the refused factor does alone
+    with pytest.raises(ValueError) as alone:
+        eval_word(parse(base.split("*")[-1]))
+    with pytest.raises(ValueError) as power:
+        eval_word(parse(f"{base}^0"))
+    assert (type(power.value), str(power.value)) == (type(alone.value), str(alone.value))
 
 
 def test_no_normalization_of_directions():
