@@ -103,10 +103,13 @@ class QuadratureSpec:
 
 def H_nbar(x: Octonion, p: Octonion, t: float = 0.0) -> float:
     """Radial logarithm of a_t times the lower nilpotent of data (x, p)."""
+    t = float(t)
+    if not (np.isfinite(x.coeffs).all() and np.isfinite(p.coeffs).all() and math.isfinite(t)):
+        raise ValueError("H_nbar needs finite x, p and t")
     lg._imO(p)
     xx = x.norm_sq()
     pp = p.norm_sq()
-    s = 2.0 * float(t)
+    s = 2.0 * t
     return 0.5 * (-s + math.log((math.exp(s) + xx) ** 2 + 4.0 * pp))
 
 
@@ -157,8 +160,10 @@ def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     Evaluates ((1 + Q(X)/2)^2 + 2 Q(Y))^(lambda_alpha/4) with X and Y the
     level -1 and level -2 generators of x and p.
     """
-    lg._imO(p)
     la = _lam_alpha(lam)
+    if not (np.isfinite(x.coeffs).all() and np.isfinite(p.coeffs).all() and cmath.isfinite(la)):
+        raise ValueError("exp_lambda_H needs finite x, p and lambda")
+    lg._imO(p)
     qx = q_form(lg.gen_G(-1, x)) if x.norm() > 0.0 else 0.0
     qy = q_form(lg.gen_G(-2, p)) if p.norm() > 0.0 else 0.0
     base = (1.0 + 0.5 * qx) ** 2 + 2.0 * qy
@@ -218,6 +223,8 @@ def c_gamma(lam) -> complex:
     themselves overflow; at real lambda the value is real.
     """
     la = _lam_alpha(lam)
+    if not cmath.isfinite(la):
+        raise ValueError("c-function needs finite lambda")
     val = cmath.exp(complex(_log_gamma_ratio(la)[0]) - _LOG_GAMMA_RATIO_RHO)
     return complex(val.real) if la.imag == 0.0 else val
 
@@ -265,8 +272,9 @@ def _power_integral(k: int, q: complex, spec: QuadratureSpec) -> tuple[complex, 
 def c_quadrature_with_error(lam, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
     """c-function by quadrature plus its propagated error estimate."""
     la = _lam_alpha(lam)
-    if la.real <= 0.0:
-        raise ValueError("c-function quadrature needs Re(lambda_alpha) > 0")
+    # written so that a NaN real part fails
+    if not (cmath.isfinite(la) and la.real > 0.0):
+        raise ValueError("c-function quadrature needs finite lambda, Re(lambda_alpha) > 0")
     if spec is None:
         spec = QuadratureSpec()
     ju, err_u = _power_integral(M_2ALPHA - 1, (la + RHO_ALPHA) / 4.0, spec)

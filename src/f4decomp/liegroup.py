@@ -9,7 +9,10 @@ Closed-form constructions:
 
 * exp_A(i, t, a): the one-parameter subgroup attached to a unit octonion a
   in slot i. Slot 1 rotates (trigonometric, compact direction), slots 2 and
-  3 boost (hyperbolic). exp_A(3, t, 1) is the standard split torus.
+  3 boost (hyperbolic). exp_A(3, t, 1) is the standard split torus. It,
+  its generator gen_A and the D4 generator below take the slot rule (which
+  blocks carry +-C R_a and +-C L_a, the sign of the diagonal rows) from
+  one helper, `_slot_A`.
 * exp_N(level, x, p): the two-step nilpotent groups N^+ (level +1) and N^-
   (level -1), parameterized by an octonion x and an imaginary octonion p.
   A quartic polynomial in the generator N = gen_G(1, x) + gen_G(2, p),
@@ -26,6 +29,9 @@ Closed-form constructions:
 * expm: `_expm_matrix` scales to Frobenius norm at most 0.5, evaluates the
   degree-16 Taylor polynomial by Paterson-Stockmeyer in six products (no
   per-term norm, no convergence loop), and squares back.
+* basis52: the 24 slot generators and 28 brackets of slot-3 generators,
+  exactly orthogonal; coordinates over it are inner products divided by
+  the squared norms 26 and 96, with no solver.
 
 Every GroupElement has passed `verify` under the gate
 group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
@@ -48,8 +54,9 @@ and S atoms from the verified `exp_A` and `sigma`, and verifies the
 product. Both invert by `_adjoint`: an automorphism keeps the trace
 pairing, so g^-1 = W^-1 g^T W, a transpose and exact scales by the pairing
 weights, which rounds nothing. `identity()` and `sigma(i)` are shared
-verified constants. AlgebraElement checks the derivation property unless
-built with check=False from already checked elements.
+verified constants. AlgebraElement and expm check the derivation property
+by one gate, `_check_derivation`; AlgebraElement skips it when built with
+check=False from already checked elements.
 """
 
 from __future__ import annotations
@@ -100,7 +107,6 @@ class RotationError(RuntimeError):
 
 
 _SLOTS = (slice(3, 11), slice(11, 19), slice(19, 27))
-_CONJ = np.diag([1.0, -1, -1, -1, -1, -1, -1, -1])
 
 
 @functools.cache
@@ -156,6 +162,14 @@ def derivation_residual(mat: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("kij,kij->ij", diff, diff)).max())
 
 
+def _check_derivation(m: np.ndarray, purpose: str = "") -> None:
+    """The derivation gate, residual <= 1e-9 * max(1, |m|); written so that a
+    NaN residual fails."""
+    res = derivation_residual(m)
+    if not res <= 1e-9 * max(1.0, _norm(m)):
+        raise VerificationError(f"derivation residual {res:.3e} too large{purpose}")
+
+
 class AlgebraElement:
     """A derivation of the algebra, checked at construction."""
 
@@ -166,11 +180,7 @@ class AlgebraElement:
         if arr.shape != (27, 27):
             raise ValueError(f"need a 27x27 matrix, got {arr.shape}")
         if check:
-            res = derivation_residual(arr)
-            scale = max(1.0, _norm(arr))
-            # written so that a NaN residual fails
-            if not res <= 1e-9 * scale:
-                raise VerificationError(f"derivation residual {res:.3e} too large")
+            _check_derivation(arr)
         self.mat = arr
 
     def apply(self, X: JordanElement) -> JordanElement:
@@ -281,41 +291,46 @@ def exp_A(i: int, t: float, a) -> GroupElement:
     return GroupElement(_exp_A_matrix(i, t, a))
 
 
+# C R_a and C L_a (C the conjugation) as linear maps of a onto their 64
+# entries; each entry is one signed coordinate of a, so the product is exact
+_CR_MAP = (oct.MUL_TENSOR.transpose(1, 2, 0) * oct._CONJ_SIGNS[:, None]).reshape(8, 64)
+_CL_MAP = (oct.MUL_TENSOR.transpose(0, 2, 1) * oct._CONJ_SIGNS[:, None]).reshape(8, 64)
+
+
+def _slot_A(i: int, av: np.ndarray) -> tuple:
+    """The slot rule of gen_A(i, a): the cyclic indices of i, their slots,
+    the sign of the diagonal rows (of the (a|x_i) term in eta_{i+1}) and the
+    blocks P = m[s1, s2], Q = m[s2, s1]: -C R_a, C L_a on slot 1; -C R_a,
+    -C L_a on slot 2; C R_a, C L_a on slot 3. Stacked directions give stacked
+    blocks, each from one product."""
+    i0, i1, i2 = _cyclic(i)
+    shape = av.shape[:-1] + (8, 8)
+    CR, CL = (av @ _CR_MAP).reshape(shape), (av @ _CL_MAP).reshape(shape)
+    P = CR if i == 3 else -CR
+    Q = -CL if i == 2 else CL
+    return (i0, i1, i2), _SLOTS[i0], _SLOTS[i1], _SLOTS[i2], (1.0 if i == 1 else -1.0), P, Q
+
+
 def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
     av = oct._coerce(a)
-    if abs(av @ av - 1.0) > 1e-12:
+    # written so that a NaN direction fails
+    if not abs(av @ av - 1.0) <= 1e-12:
         raise ValueError(f"direction must be unit, got |a|^2 = {av @ av}")
     t = float(t)
-    i0, i1, i2 = _cyclic(i)
-    s0, s1, s2 = _SLOTS[i0], _SLOTS[i1], _SLOTS[i2]
-    CL = _CONJ @ oct.left_mul_matrix(av)
-    CR = _CONJ @ oct.right_mul_matrix(av)
+    (i0, i1, i2), s0, s1, s2, sign, P, Q = _slot_A(i, av)
+    # slot 1 rotates, slots 2 and 3 boost
+    cos, sin = (math.cos, math.sin) if i == 1 else (math.cosh, math.sinh)
+    c2, s2t, c, s = cos(2 * t), sin(2 * t), cos(t), sin(t)
     m = np.zeros((27, 27))
-    if i == 1:
-        c2, s2t = math.cos(2 * t), math.sin(2 * t)
-        c, s = math.cos(t), math.sin(t)
-        m[i1, s0] = s2t * av
-        m[i2, s0] = -s2t * av
-        m[s0, s0] = np.eye(8) - 2 * s * s * np.outer(av, av)
-        m[s1, s2] = -s * CR
-        m[s2, s1] = s * CL
-    else:
-        c2, s2t = math.cosh(2 * t), math.sinh(2 * t)
-        c, s = math.cosh(t), math.sinh(t)
-        # slot-coupling orientation differs between the two boost slots
-        eps = -1.0 if i == 2 else 1.0
-        m[i1, s0] = -s2t * av
-        m[i2, s0] = s2t * av
-        m[s0, s0] = np.eye(8) + 2 * s * s * np.outer(av, av)
-        m[s1, s2] = eps * s * CR
-        m[s2, s1] = eps * s * CL
-    m[s1, s1] = c * np.eye(8)
-    m[s2, s2] = c * np.eye(8)
+    m[i1, s0] = sign * s2t * av
+    m[i2, s0] = -sign * s2t * av
+    m[s0, s0] = np.eye(8) - sign * 2 * s * s * np.outer(av, av)
+    m[s1, s2] = s * P
+    m[s2, s1] = s * Q
+    m[s1, s1] = m[s2, s2] = c * np.eye(8)
     m[i0, i0] = 1.0
-    m[i1, i1] = 0.5 * (1 + c2)
-    m[i1, i2] = 0.5 * (1 - c2)
-    m[i2, i1] = 0.5 * (1 - c2)
-    m[i2, i2] = 0.5 * (1 + c2)
+    m[i1, i1] = m[i2, i2] = 0.5 * (1 + c2)
+    m[i1, i2] = m[i2, i1] = 0.5 * (1 - c2)
     m[s0, i1] = -0.5 * s2t * av
     m[s0, i2] = 0.5 * s2t * av
     return m
@@ -330,23 +345,14 @@ def gen_A(i: int, a) -> AlgebraElement:
 
 
 def _gen_A_matrix(i: int, av: np.ndarray) -> np.ndarray:
-    i0, i1, i2 = _cyclic(i)
-    s0, s1, s2 = _SLOTS[i0], _SLOTS[i1], _SLOTS[i2]
-    CL = _CONJ @ oct.left_mul_matrix(av)
-    CR = _CONJ @ oct.right_mul_matrix(av)
+    (_, i1, i2), s0, s1, s2, sign, P, Q = _slot_A(i, av)
     m = np.zeros((27, 27))
-    sign = 1.0 if i == 1 else -1.0  # sign of the (a|x_i) term in eta_{i+1}
     m[i1, s0] = 2 * sign * av
     m[i2, s0] = -2 * sign * av
     m[s0, i1] = -av
     m[s0, i2] = av
-    if i == 1:
-        m[s1, s2] = -CR
-        m[s2, s1] = CL
-    else:
-        eps = -1.0 if i == 2 else 1.0
-        m[s1, s2] = eps * CR
-        m[s2, s1] = eps * CL
+    m[s1, s2] = P
+    m[s2, s1] = Q
     return m
 
 
@@ -354,23 +360,17 @@ def _gen_A_matrix(i: int, av: np.ndarray) -> np.ndarray:
 def _sigmas() -> dict[int, GroupElement]:
     out = {}
     for i in (1, 2, 3):
+        _, i1, i2 = _cyclic(i)
         d = np.ones(27)
-        for j in range(3):
-            if j != i - 1:
-                d[_SLOTS[j]] = -1.0
+        d[_SLOTS[i1]] = d[_SLOTS[i2]] = -1.0
         out[i] = GroupElement(np.diag(d))
     return out
 
 
 def sigma(i: int) -> GroupElement:
     """Diagonal involution negating the two octonion slots other than i."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"slot index must be 1, 2 or 3, got {i}")
+    _cyclic(i)
     return _sigmas()[i]
-
-
-def _sigma1() -> np.ndarray:
-    return sigma(1).mat
 
 
 # Nilpotent generators. Their actions are linear on jordan's graded basis
@@ -458,7 +458,8 @@ def _from_scatter(scatter: tuple, source: np.ndarray) -> np.ndarray:
 
 def _imO(p) -> np.ndarray:
     pv = oct._coerce(p)
-    if abs(pv[0]) > 1e-12:
+    # written so that a NaN real part fails
+    if not abs(pv[0]) <= 1e-12:
         raise ValueError(f"parameter must be imaginary, got re = {pv[0]}")
     return pv
 
@@ -525,7 +526,7 @@ def _quartic_exp(gen: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _sigma1_signs() -> np.ndarray:
-    d = np.diag(_sigma1())
+    d = np.diag(sigma(1).mat)
     signs = np.outer(d, d)
     signs.setflags(write=False)
     return signs
@@ -577,12 +578,8 @@ def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:
 def expm(phi: AlgebraElement) -> GroupElement:
     """Matrix exponential of a derivation, checked as one here, by
     `_expm_matrix`."""
-    m = phi.mat
-    res = derivation_residual(m)
-    # written so that a NaN residual fails
-    if not res <= 1e-9 * max(1.0, _norm(m)):
-        raise VerificationError(f"derivation residual {res:.3e} too large to exponentiate")
-    return GroupElement(_expm_matrix(m))
+    _check_derivation(phi.mat, " to exponentiate")
+    return GroupElement(_expm_matrix(phi.mat))
 
 
 # The degree-16 Taylor polynomial of exp as four blocks in powers of X^4:
@@ -615,31 +612,24 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
     return total
 
 
-# Basis of the 52-dimensional derivation algebra: the 24 slot generators
-# gen_A(i, e_j) plus 28 commutators [gen_A(3, e_j), gen_A(3, e_k)] spanning
-# the rank-four rotation subalgebra. SVD rank is checked loudly.
+# Basis of the 52-dimensional derivation algebra in closed form: the 24 slot
+# generators gen_A(i, e_j) plus the 28 brackets [gen_A(3, e_j), gen_A(3, e_k)],
+# j < k, which span the rank-four rotation subalgebra. Their entries are 0,
+# +-1, +-2 and +-4, so their Gram matrix is exact; it is diag(26 I_24, 96 I_28),
+# and a coordinate is an inner product over a squared norm.
+_BASIS52_SQ = np.repeat([26.0, 96.0], [24, 28])
+
 
 @functools.cache
 def _basis52() -> tuple[list[AlgebraElement], np.ndarray]:
-    """The basis and the pseudo-inverse that reads coordinates over it."""
-    out = []
-    for i in (1, 2, 3):
-        for j in range(8):
-            out.append(gen_A(i, oct.Octonion.unit(j)))
-    slot3 = out[16:24]
-    for j in range(8):
-        for k in range(j + 1, 8):
-            out.append(bracket(slot3[j], slot3[k]))
-    flat = np.stack([b.mat.ravel() for b in out])
-    svals = np.linalg.svd(flat, compute_uv=False)
-    rank = int(np.sum(svals > svals[0] * 1e-9))
-    if rank != 52:
-        raise RuntimeError(f"derivation basis rank {rank}, expected 52")
-    # the pseudo-inverse is formed with the basis. The word path does not rely
-    # on the heap its temporaries leave behind: verify's and
-    # derivation_residual's 157 KB arrays reused heap pages, with no minor
-    # page faults, in every process history measured, basis52 built or not
-    return out, np.linalg.pinv(flat.T)
+    """The basis and its rows, flattened."""
+    gens = [_gen_A_matrix(i, u) for i in (1, 2, 3) for u in np.eye(8)]
+    slot3 = gens[16:]
+    mats = gens + [a @ b - b @ a for j, a in enumerate(slot3) for b in slot3[j + 1:]]
+    flat = np.stack([m.ravel() for m in mats])
+    if not np.array_equal(flat @ flat.T, np.diag(_BASIS52_SQ)):
+        raise RuntimeError("derivation basis is not orthogonal with squared norms 26 and 96")
+    return [AlgebraElement(m, check=False) for m in mats], flat
 
 
 def basis52() -> list[AlgebraElement]:
@@ -647,14 +637,12 @@ def basis52() -> list[AlgebraElement]:
 
 
 def _coords52(mat: np.ndarray) -> np.ndarray:
-    return _basis52()[1] @ mat.ravel()
+    return (_basis52()[1] @ mat.ravel()) / _BASIS52_SQ
 
 
 def ad_matrix(phi: AlgebraElement) -> np.ndarray:
     """ad(phi) as a 52x52 matrix over the basis52 coordinates."""
-    basis = basis52()
-    cols = [_coords52(phi.mat @ b.mat - b.mat @ phi.mat) for b in basis]
-    return np.column_stack(cols)
+    return np.column_stack([_coords52(phi.mat @ b.mat - b.mat @ phi.mat) for b in basis52()])
 
 
 def killing(phi: AlgebraElement, psi: AlgebraElement) -> float:
@@ -773,20 +761,13 @@ def _d4_generator(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1/4 [gen_A(j, a), gen_A(j, b)] from its three 8x8 slot blocks, with no
     27x27 product. gen_A(j, .) couples slot j only to the diagonal, which
     gives -s (a b^T - b a^T) there, s the sign of its diagonal rows; on the
-    other two slots its blocks P (third slot into second) and Q (second into
-    third) give 1/4 (P_a Q_b - P_b Q_a) and 1/4 (Q_a P_b - Q_b P_a)."""
-    i0, i1, i2 = _cyclic(j)
-    ab = np.stack((a, b))
-    # C R_a and C L_a for a and b, as in _gen_A_matrix; there P Q = CR CL for
-    # slots 2 and 3, and P = -CR, Q = CL for slot 1
-    CR = np.einsum("ijk,nj->nki", oct.MUL_TENSOR, ab) * oct._CONJ_SIGNS[:, None]
-    CL = np.einsum("ijk,ni->nkj", oct.MUL_TENSOR, ab) * oct._CONJ_SIGNS[:, None]
-    quarter = -0.25 if j == 1 else 0.25
-    sign = 1.0 if j == 1 else -1.0
+    other two slots its blocks P and Q of `_slot_A`, formed for a and b in
+    one stacked product, give 1/4 (P_a Q_b - P_b Q_a) and 1/4 (Q_a P_b - Q_b P_a)."""
+    _, s0, s1, s2, sign, P, Q = _slot_A(j, np.stack((a, b)))
     gen = np.zeros((27, 27))
-    gen[_SLOTS[i0], _SLOTS[i0]] = -sign * (np.outer(a, b) - np.outer(b, a))
-    gen[_SLOTS[i1], _SLOTS[i1]] = quarter * (CR[0] @ CL[1] - CR[1] @ CL[0])
-    gen[_SLOTS[i2], _SLOTS[i2]] = quarter * (CL[0] @ CR[1] - CL[1] @ CR[0])
+    gen[s0, s0] = -sign * (np.outer(a, b) - np.outer(b, a))
+    gen[s1, s1] = 0.25 * (P[0] @ Q[1] - P[1] @ Q[0])
+    gen[s2, s2] = 0.25 * (Q[0] @ P[1] - Q[1] @ P[0])
     return gen
 
 
@@ -800,16 +781,10 @@ def _d4_reaches(k: np.ndarray, src: np.ndarray, want: np.ndarray, scale: float) 
 def m_basis() -> list[AlgebraElement]:
     """Basis of the 21-dimensional subalgebra killing E1, E2, E3 and
     F(3, 1) (the Lie algebra of the little group M), each of unit
-    Frobenius norm: the brackets [gen_A(3, e_j), gen_A(3, e_k)] of the
-    imaginary units, 1 <= j < k <= 7, which rotate the plane of e_j and e_k
-    in slot 3 and fix its real unit. Their entries are small integers."""
-    gens = [_gen_A_matrix(3, u) for u in np.eye(8)[1:]]
-    out = []
-    for j, a in enumerate(gens):
-        for b in gens[j + 1:]:
-            m = a @ b - b @ a
-            out.append(AlgebraElement(m / _norm(m), check=False))
-    return out
+    Frobenius norm: the last 21 elements of basis52, the brackets
+    [gen_A(3, e_j), gen_A(3, e_k)] of the imaginary units, 1 <= j < k <= 7,
+    which rotate the plane of e_j and e_k in slot 3 and fix its real unit."""
+    return [AlgebraElement(b.mat / _norm(b.mat), check=False) for b in basis52()[31:]]
 
 
 @dataclass
@@ -837,7 +812,7 @@ def theta_eps_check() -> ThetaEpsReport:
     graded basis V, with grade_i - grade_j = k; it must satisfy
     [H, phi_k] = k phi_k for the torus generator H = gen_A(3, 1)."""
     H = gen_A(3, 1).mat
-    s1 = _sigma1()
+    s1 = sigma(1).mat
     s2 = sigma(2).mat
     shift = jordan._GRADES[:, None] - jordan._GRADES[None, :]
     devs = [0.0, 0.0, 0.0]

@@ -288,10 +288,15 @@ def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
 
 
 def test_no_generic_solve_or_inverse_in_src():
-    # automorphisms are inverted as pairing adjoints and the graded basis has
-    # a closed-form inverse, so the library needs no generic solver
+    # automorphisms are inverted as pairing adjoints, the graded basis has a
+    # closed-form inverse and the derivation basis is exactly orthogonal, so
+    # the library needs no generic solver, SVD or pseudo-inverse
     src = Path(dc.__file__).parent
-    pattern = re.compile(r"linalg\.(solve|inv)\b|linalg import .*\b(solve|inv)\b")
+    names = r"(solve|inv|svd|pinv)"
+    pattern = re.compile(rf"linalg\.{names}\b|linalg import .*\b{names}\b")
+    # the gates' operator norm is not a solver
+    assert not pattern.search("opnorm = float(np.linalg.norm(arr, 2))")
+    assert pattern.search("np.linalg.pinv(flat.T)") and pattern.search("np.linalg.svd(a)")
     hits = [
         f"{path.name}:{lineno}"
         for path in sorted(src.glob("*.py"))

@@ -57,6 +57,21 @@ def test_h_radial_takes_exp_N_parameters_only():
         assert str(got.value) == str(want.value) == "parameter must be imaginary, got re = 1e-10"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_h_radial_refuses_non_finite_input(bad):
+    # refused up front, with no numpy warning on the way
+    # (x, p, and a shift s added to both t = 0 and lambda = 2)
+    zero, e1 = Octonion.zero(), Octonion.unit(1)
+    cases = [(Octonion([bad] + [0.0] * 7), e1, 0.0), (zero, Octonion([bad, 1.0] + [0.0] * 6), 0.0),
+             (zero, Octonion([0.0, bad] + [0.0] * 6), 0.0), (zero, e1, bad)]
+    with np.errstate(all="raise"):
+        for x, p, s in cases:
+            with pytest.raises(ValueError, match="H_nbar needs finite x, p and t"):
+                ha.H_nbar(x, p, s)
+            with pytest.raises(ValueError, match="exp_lambda_H needs finite x, p and lambda"):
+                ha.exp_lambda_H(x, p, 2.0 + s)
+
+
 def test_root_normalization():
     assert abs(ha.alpha_norm() - 1.0 / 72.0) <= 1e-15
     assert ha.RHO_ALPHA == 22.0
@@ -153,6 +168,19 @@ def test_c_quadrature_domain():
         ha.c_quadrature(-1.0)
     with pytest.raises(ValueError):
         ha.c_quadrature(2.0j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                 complex(math.inf, 1.0)])
+def test_c_function_refuses_non_finite_lambda(bad):
+    # refused up front, with no numpy warning on the way
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="c-function needs finite lambda"):
+            ha.c_gamma(bad)
+        with pytest.raises(ValueError, match="c-function quadrature needs finite lambda"):
+            ha.c_quadrature(bad)
+        with pytest.raises(ValueError, match="c-function quadrature needs finite lambda"):
+            ha.c_quadrature_with_error(bad)
 
 
 def test_c_quadrature_refinement_non_increasing():

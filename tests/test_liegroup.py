@@ -50,6 +50,14 @@ def test_exp_A_rejects_non_unit():
         lg.exp_A(3, 0.5, Octonion.from_scalar(2.0))
 
 
+def test_exp_A_refuses_a_nan_direction():
+    # the unit check is written so that a NaN |a|^2 fails it, before any
+    # matrix is formed
+    for i in (1, 2, 3):
+        with pytest.raises(ValueError, match="direction must be unit"):
+            lg.exp_A(i, 0.3, [np.nan] + [0.0] * 7)
+
+
 def test_exp_A_compact_slot_is_periodic():
     # slot 1 pairs eigenvalues with the compact direction: period 2 pi
     g = lg.exp_A(1, 2.0 * math.pi, 1.0)
@@ -68,6 +76,13 @@ def test_exp_N_central_factor_adds(rng):
 def test_exp_N_rejects_real_center(rng):
     with pytest.raises(ValueError):
         lg.exp_N(1, random_oct(rng), Octonion.one())
+
+
+def test_exp_N_refuses_a_nan_real_part():
+    p = [np.nan, 1.0] + [0.0] * 6
+    for call in (lambda: lg.exp_N(1, 0.0, p), lambda: lg.gen_G(2, p)):
+        with pytest.raises(ValueError, match="parameter must be imaginary, got re = nan"):
+            call()
 
 
 def test_exp_N_rejects_bad_level(rng):
@@ -545,6 +560,23 @@ def test_basis52_rank():
     assert len(basis) == 52
     flat = np.stack([b.mat.ravel() for b in basis])
     assert np.linalg.matrix_rank(flat, tol=1e-9) == 52
+
+
+def test_basis52_is_exactly_orthogonal():
+    flat = np.stack([b.mat.ravel() for b in lg.basis52()])
+    assert np.array_equal(flat @ flat.T, np.diag([26.0] * 24 + [96.0] * 28))
+    # every element is a derivation with no rounding at all
+    assert all(lg.derivation_residual(b.mat) == 0.0 for b in lg.basis52())
+    # coordinates of the basis itself are the unit vectors
+    assert np.array_equal(np.stack([lg._coords52(b.mat) for b in lg.basis52()]), np.eye(52))
+
+
+def test_m_basis_is_the_normalized_tail_of_basis52():
+    tail = lg.basis52()[31:]
+    assert len(tail) == len(lg.m_basis()) == 21
+    for b, m in zip(tail, lg.m_basis()):
+        want = b.mat / np.linalg.norm(b.mat)
+        assert want.tobytes() == m.mat.tobytes()
 
 
 def test_grading_multiplicities():
