@@ -10,40 +10,40 @@ Four global or open-dense factorizations of a verified 27x27 group element:
 where a_t = exp_A(3, t, 1), n = exp_N(+1, x, p), z = exp_N(-1, x, p), and m
 fixes E1, E2, E3 and F(3,1). In jordan's graded basis V, the eigenbasis
 of the torus generator, a_t is the diagonal diag(e^(grade t)), n and z are
-block triangular and k orthogonal after a fixed scaling, so iwasawa and the
-closed matsuki cell are one Householder QR and gauss one block LDU;
-keps_iwasawa reads t from its cell value, which is e^(2t), and n from the
-pairings of g^-1 E2, the E2 row of the adjoint, with no solve. Its k_eps is
-refused where an a-priori error bound reaches 1e-8, and matsuki's open cell
-shares the result of the last element factored. Factors are inverted as
-pairing adjoints W^-1 f^T W.
+block triangular and k orthogonal after a fixed scaling, so iwasawa is one
+Householder QR and gauss one block LDU; keps_iwasawa reads t from its cell
+value, which is e^(2t), and n from the pairings of g^-1 E2, the E2 row of
+the adjoint, with no solve. Its k_eps is refused where an a-priori error
+bound reaches 1e-8. matsuki's open cell is keps_iwasawa's result, and its
+closed cell is the Iwasawa factorization turned by (k_eps c)^-1: k_eps, c
+and m fix E1, so by the uniqueness of G = KAN its a_t and n are g's Iwasawa
+factors and k_eps c m is the Iwasawa k. Factors are inverted as pairing
+adjoints W^-1 f^T W.
 
-All factor records carry the max-abs reconstruction residual. The factors
-are computed as plain matrices. n and z are formed from their parameters
-in graded coordinates, n' = V^-1 n V exactly block unipotent, from
-liegroup's cached generator tensor, with no octonion product; z_of_X, the
+Three results are kept for the last element asked: the cells of g P_MINUS
+(_element_cells), its certified Iwasawa factorization (_graded_iwasawa) and
+its K_eps-Iwasawa (_keps_factors). Each cache is keyed by the element alone:
+an element hashes by identity, its matrix is read-only, the cache holds it,
+and the tolerances are fixed per process. Refusals are not kept.
+
+Factor records carry the max-abs reconstruction residual. n and z are
+formed from their parameters in graded coordinates, n' = V^-1 n V exactly
+block unipotent, from liegroup's cached generator tensor; z_of_X, the
 closed-form route the tests compare gauss against, keeps the public exp_N.
 Every cell and orbit decision is one cell test, _cells(X), on X = g P_MINUS
 or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 (X|reflected), for the reflected null vector h1(-1,1,0;0,0,-1), the Bruhat
-cell and the N^- orbit, each closed where |value| <= member_tol |X|. The
-cells of g P_MINUS are formed once per element (_element_cells, kept for the
-last element like keps_iwasawa's result; both caches are keyed by the element
-alone, as the tolerances are fixed per process) and read by both classifiers,
-keps_iwasawa, matsuki and gauss. One certificate per factorization,
-_certify, checks that the k, k_eps or m factor fixes its targets and that
-the product reconstructs g, both at one gate,
-group_tol * max(1, |g|_2^2). Each test is monotone in the gate and is tried
-first at liegroup's lower bound of it from g's largest squared column, and at
-the SVD gate only where that fails; keps_iwasawa's a-priori bound likewise
-reads |g|_2 off the SVD only where its upper bound (1 + 1e-12) |g|_F does not
-pass. So every decision is the SVD gate's, and every refusal names the exact
-values. Each factorization verifies the group elements it returns (k, k_eps,
-m) once. The closed Matsuki cell takes k_eps as its one verified rotation,
-d4_rotate(2, 1, x2 / r), aligns g with k_eps's adjoint, and certifies
-k_eps c m a_t n once; its Iwasawa step is not certified on its own. An
-overflow on the way leaves non-finite values, refused as typed errors by
-these gates, without floating-point warnings.
+cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
+certificate per factorization, _certify, checks that the k, k_eps or m
+factor fixes its targets and that the product reconstructs g, both at one
+gate, group_tol * max(1, |g|_2^2). Each test is monotone in the gate and is
+tried first at liegroup's lower bound of it from g's largest squared column,
+and at the SVD gate only where that fails; keps_iwasawa's a-priori bound
+likewise reads |g|_2 off the SVD only where its upper bound
+(1 + 1e-12) |g|_F does not pass. So every decision is the SVD gate's, and
+every refusal names the exact values. Each factorization verifies the group
+elements it returns (k, k_eps, m) once. An overflow on the way leaves
+non-finite values, refused as typed errors by these gates, without warnings.
 """
 
 from __future__ import annotations
@@ -259,9 +259,8 @@ def _cells(X: np.ndarray) -> _Cells:
 
 @lru_cache(maxsize=1)
 def _element_cells(g: GroupElement) -> tuple[np.ndarray, _Cells]:
-    """g P_MINUS, read-only, and its cells for the last element asked,
-    shared by the classifiers and the factorizations. Keyed like
-    _keps_factors: the element hashes by identity and is held by the cache."""
+    """g P_MINUS, read-only, and its cells, shared by the classifiers and
+    the factorizations."""
     Y = g.mat @ P_MINUS.vec
     Y.setflags(write=False)
     return Y, _cells(Y)
@@ -308,16 +307,18 @@ def nx_closed_form(X: JordanElement) -> JordanElement:
     return JordanElement(vec)
 
 
-def _graded_iwasawa(mat: np.ndarray) -> tuple:
-    """mat = k a_t n with k fixing E1, on plain matrices, by one Householder QR.
+@lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")
+def _graded_iwasawa(g: GroupElement) -> tuple:
+    """g = k a_t n with k fixing E1, certified once, by one Householder QR.
 
     In scaled graded coordinates k is orthogonal and a_t n upper triangular
-    with a positive diagonal, so U^-1 mat U = Q R with diag(R) > 0 gives k = Q,
+    with a positive diagonal, so U^-1 g U = Q R with diag(R) > 0 gives k = Q,
     t = log(R_00) / 2 and n from R's top row. Returns the matrices k, a_t and
-    n, t and n's parameters, uncertified: each caller certifies its own
-    factorization once.
+    n, t, n's parameters and the residual; read by iwasawa and by matsuki's
+    closed cell, whose k_eps c m is this k.
     """
-    q, r = np.linalg.qr(_U_INV @ mat @ _U)
+    q, r = np.linalg.qr(_U_INV @ g.mat @ _U)
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     top = sign[0] * r[0]
     # R_00 = e^(2t) underflows to 0 at large negative t
@@ -326,16 +327,15 @@ def _graded_iwasawa(mat: np.ndarray) -> tuple:
     t = 0.5 * math.log(top[0])
     params = _nilpotent_params(top * _ROOT_GRAM / (_ROOT_GRAM[0] * top[0]), 1)
     k = _U @ (q * sign) @ _U_INV
-    return k, _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV, t, params
+    a, n = _a_matrix(t), _V @ _graded_exp_N(1, *params) @ _V_INV
+    residual = _certify(k, [E1], "computed k-factor does not fix E1", [k, a, n], g.mat, g)
+    return k, a, n, t, params, residual
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def iwasawa(g: GroupElement) -> IwasawaFactors:
     """Global factorization g = k a_t n with k fixing E1; where k cannot be
     certified at tolerance it raises VerificationError."""
-    k, a, n, t, params = _graded_iwasawa(g.mat)
-    what = "computed k-factor does not fix E1"
-    residual = _certify(k, [E1], what, [k, a, n], g.mat, g)
+    k, _, _, t, params, residual = _graded_iwasawa(g)
     return IwasawaFactors(k=GroupElement(k), t=t, n=params, residual=residual)
 
 
@@ -362,10 +362,7 @@ def _keps_bound(g: GroupElement, *factors: float) -> float:
 @lru_cache(maxsize=1)
 @np.errstate(over="ignore", invalid="ignore")
 def _keps_factors(g: GroupElement) -> KEpsFactors:
-    """g = k_eps a_t n for the last element factored, shared by keps_iwasawa
-    and matsuki's open cell; refusals are not kept. An element hashes by
-    identity and its matrix is read-only, and the cache holds the element, so
-    the key cannot match another input.
+    """g = k_eps a_t n, shared by keps_iwasawa and matsuki's open cell.
 
     The cell value is e^(2t) exactly, and X = g^-1 E2 the E2 row of the
     adjoint W^-1 g^T W, which rounds nothing; n is read from the pairings of
@@ -458,10 +455,10 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     On the open cell this is keps_iwasawa with a trivial m, and shares its
     result for the same element. On the closed cell the image of the base
     null vector has the shape h1(-r, 0, r; 0, x2, 0) with r = |x2|; k_eps is
-    the slot-2 rotation from 1 to x2 / r, and g aligned by its adjoint, with
-    the pivot conjugated away, fixes the base ray. Its Iwasawa k-factor is m,
-    and one certificate checks that m lies in the joint stabilizer M and
-    that k_eps c m a_t n reconstructs g.
+    the slot-2 rotation from 1 to x2 / r. g's Iwasawa factorization
+    k a_t n gives a_t and n, and m = c^-1 k_eps^-1 k; one certificate checks
+    that m lies in the joint stabilizer M and that k_eps c m a_t n
+    reconstructs g.
     """
     Y, cells = _element_cells(g)
     if not cells.closed(cells.keps):
@@ -473,11 +470,11 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
     # the shape tolerance member_tol max(1, |Y|)
     xhat = _closed_cell_direction(JordanElement(Y), max(member_tol(), cells.tol))
     k_eps = d4_rotate(2, Octonion.one(), xhat)
-    c = closed_cell_rep()
-    m, a, n, t, params = _graded_iwasawa(_adjoint(c.mat) @ _adjoint(k_eps.mat) @ g.mat)
-    m = GroupElement(m)
+    c = closed_cell_rep().mat
+    k, a, n, t, params, _ = _graded_iwasawa(g)
+    m = GroupElement(_adjoint(c) @ _adjoint(k_eps.mat) @ k)
     what = "closed-cell m-factor fails the M stabilizer check"
-    residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c.mat, m.mat, a, n], g.mat, g)
+    residual = _certify(m.mat, _M_TARGETS, what, [k_eps.mat, c, m.mat, a, n], g.mat, g)
     return MatsukiFactors(
         cell="Closed", k_eps=k_eps, w=True, m=m, t=t, n=params, residual=residual
     )

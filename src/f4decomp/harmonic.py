@@ -214,18 +214,33 @@ def _log_gamma_ratio(la) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LOG_GAMMA_RATIO_RHO = complex(_log_gamma_ratio(RHO_ALPHA)[0])
+# the largest bound on its relative error at which c_gamma answers
+_C_GAMMA_BOUND = 1e-8
 
 
 def c_gamma(lam) -> complex:
     """c-function by the Gamma-ratio route, normalized to 1 at the half-sum.
 
     The ratio is formed in log space, so it stays finite where the Gammas
-    themselves overflow; at real lambda the value is real.
+    themselves overflow; at real lambda the value is real. Its relative
+    error is below eps times the summed size of the four log-Gammas; where
+    that reaches 1e-8 (from about |lambda| = 2.5e6) it raises NonConvergent,
+    and where the log ratio is not finite OverflowError.
     """
     la = _lam_alpha(lam)
     if not cmath.isfinite(la):
         raise ValueError("c-function needs finite lambda")
-    val = cmath.exp(complex(_log_gamma_ratio(la)[0]) - _LOG_GAMMA_RATIO_RHO)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio, size = _log_gamma_ratio(la)
+    log_ratio = complex(log_ratio)
+    if not cmath.isfinite(log_ratio):
+        raise OverflowError(f"c-function at lambda={la} is past double range")
+    bound = _EPS * float(size)
+    if not bound < _C_GAMMA_BOUND:
+        raise NonConvergent(
+            f"c-function at lambda={la}: error bound {bound:.3e} reaches {_C_GAMMA_BOUND:.0e}"
+        )
+    val = cmath.exp(log_ratio - _LOG_GAMMA_RATIO_RHO)
     return complex(val.real) if la.imag == 0.0 else val
 
 

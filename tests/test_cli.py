@@ -367,6 +367,17 @@ def test_cfunction_overflow_is_one_json_error(capsys, lam):
     assert json.loads(lines[0])["error"] == "OverflowError"
 
 
+def test_cfunction_refuses_lambda_past_its_precision(capsys):
+    # the Gamma ratio is 3.0e-117 here, which its logs cannot resolve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cfunction", "--lambda", "1e17")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NonConvergent"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_verify_rejects_non_finite_matrix(tmp_path, capsys, bad):
     mat = np.eye(27)

@@ -181,6 +181,56 @@ def test_closed_matsuki_verifies_its_rotation_and_m_once(rng, monkeypatch):
     assert np.max(np.abs(f.k_eps.mat @ F(2, 1.0).vec - want)) <= 1e-12
 
 
+def _closed_cell_elements(rng, monkeypatch):
+    """The closed-cell words of the benchmark's seeds 1 and 2, and
+    k_eps c m a_t n built from random factors."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    words = [
+        item.text
+        for seed in (1, 2)
+        for item in workloads.word_inputs(np.random.default_rng(seed))
+        if item.t_closed is not None
+    ]
+    out = [eval_word(parse(w)) for w in words]
+    c = dc.closed_cell_rep()
+    for _ in range(10):
+        n = lg.exp_N(1, random_oct(rng, 0.3), random_imag(rng, 0.3))
+        a = lg.exp_A(3, 0.5 * rng.standard_normal(), 1.0)
+        out.append(random_keps(rng) @ c @ random_m(rng) @ a @ n)
+    return out
+
+
+def test_closed_matsuki_reads_the_iwasawa_factorization(rng, monkeypatch):
+    # on the closed cell k_eps c m is the Iwasawa k, and a_t and n are the
+    # Iwasawa factors: one QR per element, shared by iwasawa and matsuki
+    elements = _closed_cell_elements(rng, monkeypatch)
+    assert len(elements) == 50
+    c = dc.closed_cell_rep().mat
+    qr_calls, verify_calls = [], []
+    real_qr, real_verify = np.linalg.qr, lg.verify
+    monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(1) or real_qr(a))
+    monkeypatch.setattr(lg, "verify", lambda m: verify_calls.append(1) or real_verify(m))
+    for g in elements:
+        qr_calls.clear()
+        f = dc.iwasawa(g)
+        h = dc.matsuki(g)
+        assert h.cell == "Closed" and len(qr_calls) == 1
+        assert h.t == f.t
+        assert np.array_equal(h.n.x.coeffs, f.n.x.coeffs)
+        assert np.array_equal(h.n.p.coeffs, f.n.p.coeffs)
+        assert np.max(np.abs(h.k_eps.mat @ c @ h.m.mat - f.k.mat)) <= 1e-14
+        # matsuki alone, on another element of the same matrix
+        alone = lg.GroupElement(g.mat)
+        qr_calls.clear()
+        verify_calls.clear()
+        assert dc.matsuki(alone).t == h.t
+        assert len(qr_calls) == 1 and len(verify_calls) == 2
+    src = Path(dc.__file__).parent
+    assert sum(p.read_text().count("linalg.qr(") for p in src.glob("*.py")) == 1
+
+
 def test_matsuki_exactly_one_cell(rng):
     for _ in range(20):
         g = random_group(rng)

@@ -8,6 +8,7 @@ evaluation of the defining integral with delta-method error bars.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -146,6 +147,46 @@ def test_c_gamma_large_real_lambda(la):
     assert want > 0.0
     assert abs(got - want) <= 1e-12 * want
     assert got.imag == 0.0
+
+
+def _c_gamma_mpmath(la: float):
+    # 60-digit reference from mpmath's loggamma
+    with mpmath.workdps(60):
+        def log_ratio(x):
+            x = mpmath.mpf(x)
+            return (mpmath.loggamma(x / 2) + mpmath.loggamma((x + 8) / 4)
+                    - mpmath.loggamma((x + 8) / 2) - mpmath.loggamma((x + 22) / 4))
+        return mpmath.exp(log_ratio(la) - log_ratio(22))
+
+
+@pytest.mark.parametrize("la", [1e4, 1e5, 1e6])
+def test_c_gamma_within_its_error_bound(la):
+    # four log-Gammas of size about la log la cancel to about -4 log la; eps
+    # times their summed size bounds the relative error
+    got = ha.c_gamma(la)
+    want = _c_gamma_mpmath(la)
+    bound = ha._EPS * float(ha._log_gamma_ratio(complex(la))[1])
+    assert bound < 1e-8
+    assert abs(got.real - want) <= bound * want
+    assert got.imag == 0.0
+
+
+@pytest.mark.parametrize("la", [1e7, 1e10, 1e17, -1e7 + 0.5, 3.0 + 1e8j])
+def test_c_gamma_refuses_where_rounding_swamps_it(la):
+    # at 1e17 the sum of the logs rounded to 0: the value was 4.66e7, not 3.0e-117
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ha.NonConvergent, match="error bound"):
+            ha.c_gamma(la)
+
+
+@pytest.mark.parametrize("la", [1e308, complex(22.0, 1e300)])
+def test_c_gamma_past_double_range_overflows(la):
+    # refused without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="past double range"):
+            ha.c_gamma(la)
 
 
 def test_c_gamma_pole():
