@@ -35,7 +35,6 @@ from .decomp import (
 from .harmonic import (
     NonConvergent,
     PoleError,
-    SpectralParam,
     c_gamma,
     c_quadrature,
     exp_lambda_H,
@@ -92,7 +91,6 @@ __all__ = [
     "RotationError",
     "SIGMA_P_MINUS",
     "ShapeViolation",
-    "SpectralParam",
     "VerificationError",
     "WordSyntaxError",
     "bruhat_classify",

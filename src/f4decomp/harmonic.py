@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "RHO_ALPHA",
     "PoleError",
     "NonConvergent",
-    "SpectralParam",
-    "QuadratureSpec",
     "H_nbar",
     "alpha_norm",
     "sigma_twist",
@@ -58,59 +55,18 @@ class NonConvergent(RuntimeError):
     """A quadrature or a series could not reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class SpectralParam:
-    """Spectral coordinate of a character of the split torus.
-
-    lambda_alpha is the coordinate normalized so that the half-sum of
-    positive restricted roots sits at 8 + 2*7 = 22.
-    """
-
-    lambda_alpha: complex
-
-    @property
-    def a(self) -> complex:
-        return (RHO_ALPHA + complex(self.lambda_alpha)) / 4.0
-
-    @property
-    def b(self) -> complex:
-        return (RHO_ALPHA - complex(self.lambda_alpha)) / 4.0
-
-    @classmethod
-    def rho(cls) -> "SpectralParam":
-        return cls(complex(RHO_ALPHA))
-
-
-def _lam_alpha(lam) -> complex:
-    if isinstance(lam, SpectralParam):
-        return complex(lam.lambda_alpha)
-    return complex(lam)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the c-function quadrature.
-
-    Each radial integral is taken over the whole line after u = e^s by the
-    trapezoid rule, halving the step until two sums agree to rel_tol.
-    max_panels caps the nodes of one integral; reaching it raises
-    NonConvergent.
-    """
-
-    rel_tol: float = 1e-6
-    max_panels: int = 1 << 14
-
-
+@np.errstate(divide="ignore")  # log|x| = -inf at x = 0 drops out of the sums
 def H_nbar(x: Octonion, p: Octonion, t: float = 0.0) -> float:
-    """Radial logarithm of a_t times the lower nilpotent of data (x, p)."""
+    """Radial logarithm of a_t times the lower nilpotent of data (x, p):
+    -t + 1/2 log((e^{2t} + |x|^2)^2 + 4|p|^2), summed in logs, so no square
+    overflows."""
     t = float(t)
     if not (np.isfinite(x.coeffs).all() and np.isfinite(p.coeffs).all() and math.isfinite(t)):
         raise ValueError("H_nbar needs finite x, p and t")
     lg._imO(p)
-    xx = x.norm_sq()
-    pp = p.norm_sq()
-    s = 2.0 * t
-    return 0.5 * (-s + math.log((math.exp(s) + xx) ** 2 + 4.0 * pp))
+    log_a = np.logaddexp(2.0 * t, 2.0 * np.log(math.hypot(*x.coeffs)))
+    log_2p = math.log(2.0) + np.log(math.hypot(*p.coeffs))
+    return float(-t + 0.5 * np.logaddexp(2.0 * log_a, 2.0 * log_2p))
 
 
 def sigma_twist(phi: AlgebraElement) -> AlgebraElement:
@@ -119,7 +75,7 @@ def sigma_twist(phi: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(s @ phi.mat @ s, check=False)
 
 
-@lru_cache(maxsize=1)
+@cache
 def alpha_norm() -> float:
     """Squared length of the restricted root in the Killing metric.
 
@@ -160,7 +116,7 @@ def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     Evaluates ((1 + Q(X)/2)^2 + 2 Q(Y))^(lambda_alpha/4) with X and Y the
     level -1 and level -2 generators of x and p.
     """
-    la = _lam_alpha(lam)
+    la = complex(lam)
     if not (np.isfinite(x.coeffs).all() and np.isfinite(p.coeffs).all() and cmath.isfinite(la)):
         raise ValueError("exp_lambda_H needs finite x, p and lambda")
     lg._imO(p)
@@ -227,7 +183,7 @@ def c_gamma(lam) -> complex:
     that reaches 1e-8 (from about |lambda| = 2.5e6) it raises NonConvergent,
     and where the log ratio is not finite OverflowError.
     """
-    la = _lam_alpha(lam)
+    la = complex(lam)
     if not cmath.isfinite(la):
         raise ValueError("c-function needs finite lambda")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,16 +202,18 @@ def c_gamma(lam) -> complex:
 
 # the trapezoid range leaves out tails below 1e-17 of the integrand's peak
 _LOG_TAIL = math.log(1e-17)
+# each radial integral stops where two trapezoid sums agree to _REL_TOL, and
+# raises NonConvergent where that needs more than _MAX_NODES nodes
+_REL_TOL = 1e-6
+_MAX_NODES = 1 << 14
 
 
-def _power_integral(k: int, q: complex, spec: QuadratureSpec) -> tuple[complex, float]:
+def _power_integral(k: int, q: complex) -> tuple[complex, float]:
     # integral of u^k (1+u^2)^(-q) over [0, inf), with u = e^s the integral over
     # the line of f(s) = e^{alpha s} (1+e^{2s})^{-q}, alpha = k+1, whose modulus
     # is at most min(e^{alpha s}, e^{-beta s}), beta = 2 Re q - alpha
     alpha = k + 1.0
-    beta = 2.0 * q.real - alpha
-    if beta <= 0.0:
-        raise ValueError("power integral diverges for this exponent")
+    beta = 2.0 * q.real - alpha  # callers keep it positive
     # the modulus peaks at e^{2s} = alpha/beta
     log_peak = 0.5 * alpha * math.log(alpha / beta) - q.real * math.log1p(alpha / beta)
     lo = (log_peak + _LOG_TAIL) / alpha
@@ -264,53 +222,53 @@ def _power_integral(k: int, q: complex, spec: QuadratureSpec) -> tuple[complex, 
     # In the strip |Im s| < pi/4, |1+e^{2s}| >= 1 and |f| exceeds its modulus
     # on the line by at most 2^{Re q/2} e^{pi |Im q|/2}; the trapezoid rule's
     # error there falls like e^{-pi^2/(2h)} (Trefethen & Weideman 2014), which
-    # sets a first step meeting rel_tol. Each halving reuses the nodes.
+    # sets a first step meeting _REL_TOL. Each halving reuses the nodes.
     growth = 0.5 * math.log(2.0) * q.real + 0.5 * math.pi * abs(q.imag)
-    h = math.pi**2 / (2.0 * (growth - math.log(0.5 * spec.rel_tol)))
+    h = math.pi**2 / (2.0 * (growth - math.log(0.5 * _REL_TOL)))
     n = math.ceil((hi - lo) / h)
 
     def f(s: np.ndarray) -> np.ndarray:
         return np.exp(alpha * s - q * np.logaddexp(0.0, 2.0 * s))
 
-    total = h * np.sum(f(lo + h * np.arange(n + 1))) if n < spec.max_panels else math.nan
-    while 2 * n + 1 <= spec.max_panels:
+    total = h * np.sum(f(lo + h * np.arange(n + 1))) if n < _MAX_NODES else math.nan
+    while 2 * n + 1 <= _MAX_NODES:
         fine = 0.5 * (total + h * np.sum(f(lo + h * (np.arange(n) + 0.5))))
         diff = abs(fine - total)
-        if diff <= spec.rel_tol * abs(fine):
+        if diff <= _REL_TOL * abs(fine):
             return complex(fine), diff + tail
         total, h, n = fine, 0.5 * h, 2 * n
-    raise NonConvergent(
-        f"trapezoid sums did not agree to {spec.rel_tol:g} within {spec.max_panels} nodes"
-    )
+    raise NonConvergent(f"trapezoid sums did not agree to {_REL_TOL:g} within {_MAX_NODES} nodes")
 
 
-def c_quadrature_with_error(lam, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
+def c_quadrature_with_error(lam) -> tuple[complex, float]:
     """c-function by quadrature plus its propagated error estimate."""
-    la = _lam_alpha(lam)
+    la = complex(lam)
     # written so that a NaN real part fails
     if not (cmath.isfinite(la) and la.real > 0.0):
         raise ValueError("c-function quadrature needs finite lambda, Re(lambda_alpha) > 0")
-    if spec is None:
-        spec = QuadratureSpec()
-    ju, err_u = _power_integral(M_2ALPHA - 1, (la + RHO_ALPHA) / 4.0, spec)
-    jt, err_t = _power_integral(M_ALPHA - 1, (la + M_ALPHA) / 2.0, spec)
-    du, dt = _c_norm(spec)
+    qt = (la + M_ALPHA) / 2.0
+    # the integral converges for Re lambda > 0, but (lambda+8)/2 can round that away
+    if not 2.0 * qt.real > M_ALPHA:
+        raise ValueError(f"c-function quadrature at lambda={la}: Re lambda is lost in (lambda+8)/2")
+    ju, err_u = _power_integral(M_2ALPHA - 1, (la + RHO_ALPHA) / 4.0)
+    jt, err_t = _power_integral(M_ALPHA - 1, qt)
+    du, dt = _c_norm()
     val = (ju * jt) / (du * dt)
     err = abs(val) * (err_u / abs(ju) + err_t / abs(jt))
     return val, err
 
 
-@lru_cache(maxsize=8)
-def _c_norm(spec: QuadratureSpec) -> tuple[complex, complex]:
+@cache
+def _c_norm() -> tuple[complex, complex]:
     rho = complex(RHO_ALPHA)
-    du, _ = _power_integral(M_2ALPHA - 1, (rho + RHO_ALPHA) / 4.0, spec)
-    dt, _ = _power_integral(M_ALPHA - 1, (rho + M_ALPHA) / 2.0, spec)
+    du, _ = _power_integral(M_2ALPHA - 1, (rho + RHO_ALPHA) / 4.0)
+    dt, _ = _power_integral(M_ALPHA - 1, (rho + M_ALPHA) / 2.0)
     return du, dt
 
 
-def c_quadrature(lam, spec: QuadratureSpec | None = None) -> complex:
+def c_quadrature(lam) -> complex:
     """c-function as the product of the two reduced radial integrals."""
-    val, _ = c_quadrature_with_error(lam, spec)
+    val, _ = c_quadrature_with_error(lam)
     return val
 
 
@@ -419,7 +377,7 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
     formula in sech^2 t < 0.071. The bound adds the roundoff of the summed
     terms, the series remainder and the log-space error of the prefactor.
     """
-    la = _lam_alpha(lam)
+    la = complex(lam)
     t = abs(float(t))
     if not (cmath.isfinite(la) and math.isfinite(t) and la.real >= 0.0):
         raise ValueError("spherical function needs finite t and lambda, Re(lambda_alpha) >= 0")
@@ -427,17 +385,18 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
     center = 2.0 * round(la.real / 2.0)
     if t <= 2.0:
         # Pfaff: cosh(t)^(-2a) 2F1(a, c-b; c; tanh^2 t), one sign throughout at real lambda
-        par = SpectralParam(la)
-        expo = -2.0 * par.a * log_cosh
+        a = (RHO_ALPHA + la) / 4.0
+        b = (RHO_ALPHA - la) / 4.0
+        expo = -2.0 * a * log_cosh
         z = math.tanh(t) ** 2
         try:
-            val, err = _scaled_hyp2f1(expo, abs(expo), par.a, M_ALPHA - par.b, M_ALPHA, z)
+            val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, z)
         except NonConvergent:
             # at real lambda the plain terms can overflow before the sum
             # converges; every term is positive, so sum them from their logs
             if la.imag != 0.0:
                 raise
-            val, err = _log_hyp2f1(expo.real, par.a.real, M_ALPHA - par.b.real, M_ALPHA, z)
+            val, err = _log_hyp2f1(expo.real, a.real, M_ALPHA - b.real, M_ALPHA, z)
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:

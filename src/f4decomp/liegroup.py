@@ -652,11 +652,9 @@ def killing(phi: AlgebraElement, psi: AlgebraElement) -> float:
     return 3.0 * float(np.einsum("ij,ji->", phi.mat, psi.mat))
 
 
-def stabilizer_check(
-    g: GroupElement, targets: list[JordanElement], tol: float | None = None
-) -> bool:
+def stabilizer_check(g: GroupElement, targets: list[JordanElement]) -> bool:
     """True iff g fixes every target within the group tolerance."""
-    return _fixes(g.mat, targets, group_tol() if tol is None else tol)
+    return _fixes(g.mat, targets, group_tol())
 
 
 def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:

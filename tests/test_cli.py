@@ -378,6 +378,25 @@ def test_cfunction_refuses_lambda_past_its_precision(capsys):
     assert json.loads(lines[0])["error"] == "NonConvergent"
 
 
+@pytest.mark.parametrize(
+    ("lam", "error", "message"),
+    [
+        ("0.001", "NonConvergent", "within 16384 nodes"),
+        ("1e-300", "ValueError", "lambda=(1e-300+0j)"),
+    ],
+)
+def test_cfunction_quad_refusals_are_one_json_error(capsys, lam, error, message):
+    # past the quadrature's node cap, and where (lambda+8)/2 rounds Re lambda away
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "cfunction", "--method", "quad", "--lambda", lam)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    data = json.loads(lines[0])
+    assert data["error"] == error and message in data["message"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_verify_rejects_non_finite_matrix(tmp_path, capsys, bad):
     mat = np.eye(27)

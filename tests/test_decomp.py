@@ -260,7 +260,7 @@ def test_gauss_round_trip(rng):
             @ lg.exp_N(1, f.n.x, f.n.p)
         )
         assert np.max(np.abs(rebuilt.mat - g.mat)) <= 1e-7
-        assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)], tol=1e-8)
+        assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)])
 
 
 def test_gauss_rejects_reflected_words(rng):
@@ -317,7 +317,7 @@ def test_gauss_factors_the_adjoint_inverse():
     g = eval_word(parse(INV_WORD))
     f = dc.gauss(g)
     assert abs(f.t + 5.0) <= 0.1
-    assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)], tol=1e-8)
+    assert lg.stabilizer_check(f.m, [E1, E2, E3, F(3, 1.0)])
 
 
 def test_no_dense_inverse_on_the_factorization_path(rng, monkeypatch):
@@ -852,3 +852,48 @@ def test_nparams_norm(rng):
     x, p = random_oct(rng), random_imag(rng)
     params = dc.NParams(x, p)
     assert abs(params.norm() - math.hypot(x.norm(), p.norm())) <= 1e-12
+
+
+# The A3(t;1) census: t = -30..30 in steps of 0.25. Each word is a_t, whose
+# factors are known in closed form: t itself, k = k_eps = m = I and z = n = 0.
+CENSUS_T = np.arange(-120, 121) / 4.0
+
+
+def census_wrong(op):
+    """The sweep's t at which op returns an answer off by more than 1e-6."""
+    wrong = []
+    for t in CENSUS_T:
+        try:
+            f = getattr(dc, op)(eval_word(parse(f"A3({t:g};1)")))
+        except (dc.DegenerateCell, dc.ShapeViolation, lg.VerificationError):
+            continue
+        units = [getattr(f, name) for name in ("k", "k_eps", "m") if hasattr(f, name)]
+        zeros = [getattr(f, name) for name in ("z", "n") if hasattr(f, name)]
+        if not (
+            abs(f.t - t) <= 1e-6
+            and getattr(f, "cell", "Open") == "Open"
+            and all(np.max(np.abs(u.mat - np.eye(27))) <= 1e-6 for u in units)
+            and all(params.norm() <= 1e-6 for params in zeros)
+        ):
+            wrong.append(float(t))
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "iwasawa",
+        "keps_iwasawa",
+        "matsuki",
+        pytest.param(
+            "gauss",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 1: gauss returns 24 wrong answers at t = -17.5..-6.25",
+            ),
+        ),
+    ],
+)
+def test_a3_census_has_no_wrong_answer(op):
+    assert census_wrong(op) == []
