@@ -201,7 +201,11 @@ def _load_matrix(path: str) -> np.ndarray:
         if "mat" not in data:
             raise ValueError("matrix JSON must be a bare list or an object with a 'mat' key")
         data = data["mat"]
-    arr = np.asarray(data, dtype=float)
+    # JSON numbers only: a float conversion would also take strings and booleans
+    entries = np.asarray(data, dtype=object)
+    if not all(type(v) in (int, float) for v in entries.flat):
+        raise ValueError("matrix entries must be numbers")
+    arr = entries.astype(float)
     if arr.size != 27 * 27:
         raise ValueError(f"expected 729 matrix entries, got {arr.size}")
     if not np.isfinite(arr).all():
@@ -287,6 +291,10 @@ def _cmd_selftest(args) -> int:
         if not line.strip():
             continue
         rec = json.loads(line)
+        if not (isinstance(rec, dict) and isinstance(rec.get("word"), str)
+                and isinstance(rec.get("expect"), dict)):
+            raise ValueError(f"fixtures line {lineno}: need an object with a string "
+                             "'word' and an object 'expect'")
         for op, expected in rec["expect"].items():
             checked += 1
             got = json.loads(_canon(_record_op(op, rec["word"])))

@@ -36,14 +36,15 @@ or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
 certificate per factorization, _certify, checks that the k, k_eps or m
 factor fixes its targets and that the product reconstructs g, both at one
-gate, group_tol * max(1, |g|_2^2). Each test is monotone in the gate and is
-tried first at liegroup's lower bound of it from g's largest squared column,
-and at the SVD gate only where that fails; keps_iwasawa's a-priori bound
-likewise reads |g|_2 off the SVD only where its upper bound
-(1 + 1e-12) |g|_F does not pass. So every decision is the SVD gate's, and
-every refusal names the exact values. Each factorization verifies the group
-elements it returns (k, k_eps, m) once. An overflow on the way leaves
-non-finite values, refused as typed errors by these gates, without warnings.
+gate, group_tol * max(1, |g|_2^2), which g decides itself: its
+`passes_gate` tries each test, monotone in the gate, at a lower bound from
+g's largest squared column, and at the SVD gate only where that fails.
+keps_iwasawa's a-priori bound likewise reads |g|_2 off the SVD only where
+its upper bound (1 + 1e-12) |g|_F does not pass. So every decision is the
+SVD gate's, and every refusal names the exact values. Each factorization
+verifies the group elements it returns (k, k_eps, m) once. An overflow on
+the way leaves non-finite values, refused as typed errors by these gates,
+without warnings.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,6 @@ from .liegroup import (
     VerificationError,
     _adjoint,
     _fixes,
-    _gate_floor,
     _graded_exp_N,
     _norm,
     d4_rotate,
@@ -207,15 +207,6 @@ def _nilpotent_params(unit: np.ndarray, level: int) -> NParams:
     )
 
 
-def _passes_gate(g: GroupElement, test: Callable[[float], bool]) -> bool:
-    """test(gate) at g's factorization gate group_tol * max(1, |g|_2^2), for
-    a test monotone in the gate: at liegroup's lower bound of the gate first,
-    and at the SVD gate only where that fails, so it decides as the SVD gate does."""
-    # factor extraction amplifies rounding by |g|_2^2; residuals stay raw
-    tol = group_tol()
-    return test(_gate_floor(g._col_sq, tol)) or test(tol * max(1.0, g.opnorm**2))
-
-
 def _certify(
     fixed: np.ndarray, targets: list[JordanElement], what: str,
     parts: list[np.ndarray], mat: np.ndarray, g: GroupElement,
@@ -224,13 +215,14 @@ def _certify(
     The factor `fixed` must fix `targets` at the gate, else
     VerificationError(`what`); a NaN residual or one above the gate raises
     VerificationError too."""
-    if not _passes_gate(g, lambda gate: _fixes(fixed, targets, gate)):
+    # factor extraction amplifies rounding by |g|_2^2; residuals stay raw
+    if not g.passes_gate(lambda gate: _fixes(fixed, targets, gate)):
         raise VerificationError(what)
     prod = parts[0]
     for part in parts[1:]:
         prod = prod @ part
     residual = float(np.max(np.abs(prod - mat)))
-    if not _passes_gate(g, lambda gate: residual <= gate):
+    if not g.passes_gate(lambda gate: residual <= gate):
         raise VerificationError(f"reconstruction residual {residual:.3e}")
     return residual
 

@@ -110,20 +110,25 @@ def killing_structure(phi: AlgebraElement) -> float:
     return -3.0 * total
 
 
+@np.errstate(divide="ignore")  # log 0 = -inf at x = 0 or p = 0 drops out of the sums
 def exp_lambda_H(x: Octonion, p: Octonion, lam) -> complex:
     """Character value of the radial part of the lower nilpotent (x, p).
 
     Evaluates ((1 + Q(X)/2)^2 + 2 Q(Y))^(lambda_alpha/4) with X and Y the
-    level -1 and level -2 generators of x and p.
+    level -1 and level -2 generators of x and p. Q is quadratic, so it is
+    taken on the unit directions, Q(X) = |x|^2 Q(X/|x|), and the base is
+    summed in logs, as in H_nbar, so no square overflows.
     """
     la = complex(lam)
     if not (np.isfinite(x.coeffs).all() and np.isfinite(p.coeffs).all() and cmath.isfinite(la)):
         raise ValueError("exp_lambda_H needs finite x, p and lambda")
     lg._imO(p)
-    qx = q_form(lg.gen_G(-1, x)) if x.norm() > 0.0 else 0.0
-    qy = q_form(lg.gen_G(-2, p)) if p.norm() > 0.0 else 0.0
-    base = (1.0 + 0.5 * qx) ** 2 + 2.0 * qy
-    return complex(base) ** (la / 4.0)
+    nx, n_p = math.hypot(*x.coeffs), math.hypot(*p.coeffs)
+    qx = q_form(lg.gen_G(-1, x / nx)) if nx > 0.0 else 0.0
+    qy = q_form(lg.gen_G(-2, p / n_p)) if n_p > 0.0 else 0.0
+    log_a = np.logaddexp(0.0, np.log(0.5 * qx) + 2.0 * np.log(nx))
+    log_base = np.logaddexp(2.0 * log_a, np.log(2.0 * qy) + 2.0 * np.log(n_p))
+    return cmath.exp(0.25 * la * float(log_base))
 
 
 _EPS = float(np.finfo(float).eps)

@@ -35,11 +35,12 @@ Closed-form constructions:
 
 Every GroupElement has passed `verify` under the gate
 group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
-property on all basis pairs and refuses non-finite matrices. The gate is
-tried first on `_gate_floor`, a lower bound from the largest squared
-column norm, and falls back to the SVD norm only where that bound does not
-pass, so it decides as the SVD gate would; `decomp` gates its factors by
-the same rule, and `opnorm` is computed on first read. `verify` and
+property on all basis pairs and refuses non-finite matrices. The element
+decides its own gate, `passes_gate`: a test is tried first on
+`_gate_floor`, a lower bound from the largest squared column norm, and at
+the SVD norm only where that bound does not pass, so it decides as the SVD
+gate would; `decomp` certifies its factors through the same method, and
+`opnorm` is computed on first read. `verify` and
 `derivation_residual` lay both sides of the product rule out as [k, (i,j)],
 form them as plain matrix products on two cached layouts of
 `jordan.mul_tensor()`, and subtract in place: a call holds at most two
@@ -64,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,7 +87,6 @@ __all__ = [
     "exp_N",
     "sigma",
     "expm",
-    "bracket",
     "basis52",
     "killing",
     "ad_matrix",
@@ -223,30 +224,34 @@ class GroupElement:
         with np.errstate(over="ignore", invalid="ignore"):
             residual = verify(arr)
             col_sq = float(np.einsum("ij,ij->j", arr, arr).max())
-        # the product check is quadratic in the matrix, so the gate scales
-        # with the square of the operator norm; only where its lower bound
-        # does not pass is the SVD needed
-        tol = group_tol()
-        opnorm = None
-        if not residual < _gate_floor(col_sq, tol):
-            with np.errstate(over="ignore", invalid="ignore"):
-                opnorm = float(np.linalg.norm(arr, 2))
-            norm_sq = opnorm * opnorm
-            if not math.isfinite(norm_sq):
-                raise VerificationError(f"squared operator norm {norm_sq} is not finite")
-            if not residual < tol * max(1.0, norm_sq):
-                raise VerificationError(f"automorphism residual {residual:.3e} too large")
         arr.setflags(write=False)
         self.mat = arr
-        self.residual = float(residual)
-        self._opnorm = opnorm
+        self.residual = residual
+        self._opnorm = None
         self._col_sq = col_sq
+        if not self.passes_gate(lambda gate: residual < gate):
+            raise VerificationError(f"automorphism residual {residual:.3e} too large")
+
+    def passes_gate(self, test: Callable[[float], bool]) -> bool:
+        """test(gate) at the gate group_tol() * max(1, |g|_2^2), for a test
+        monotone in the gate: at `_gate_floor` first, and at the SVD gate
+        only where that fails, so it decides as the SVD gate does. The
+        product check is quadratic in the matrix, hence the square; a
+        squared norm that is not finite raises VerificationError."""
+        tol = group_tol()
+        if test(_gate_floor(self._col_sq, tol)):
+            return True
+        norm_sq = self.opnorm * self.opnorm
+        if not math.isfinite(norm_sq):
+            raise VerificationError(f"squared operator norm {norm_sq} is not finite")
+        return test(tol * max(1.0, norm_sq))
 
     @property
     def opnorm(self) -> float:
         """Operator 2-norm (largest singular value), computed once."""
         if self._opnorm is None:
-            self._opnorm = float(np.linalg.norm(self.mat, 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._opnorm = float(np.linalg.norm(self.mat, 2))
         return self._opnorm
 
     def apply(self, X: JordanElement) -> JordanElement:
@@ -571,10 +576,6 @@ def gen_G(level: int, param) -> AlgebraElement:
     return AlgebraElement(_at_level(m, level))
 
 
-def bracket(phi: AlgebraElement, psi: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(phi.mat @ psi.mat - psi.mat @ phi.mat, check=False)
-
-
 def expm(phi: AlgebraElement) -> GroupElement:
     """Matrix exponential of a derivation, checked as one here, by
     `_expm_matrix`."""
@@ -659,8 +660,16 @@ def stabilizer_check(g: GroupElement, targets: list[JordanElement]) -> bool:
 
 def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:
     for t in targets:
+        v, floor = t.vec, 1.0
+        top = float(np.abs(v).max())
+        if top > 1.0:
+            # divided by a power of two of its largest entry, which is exact
+            # (as in _d4_solve), so neither norm overflows; floor is the
+            # scaled 1 of max(1, |t|)
+            _, e = math.frexp(top)
+            v, floor = np.ldexp(v, -e), math.ldexp(1.0, -e)
         # written so that a NaN deviation fails
-        if not _norm(mat @ t.vec - t.vec) <= tol * max(1.0, t.norm()):
+        if not _norm(mat @ v - v) <= tol * max(floor, _norm(v)):
             return False
     return True
 

@@ -1,17 +1,19 @@
 """Octonion arithmetic over an orthonormal basis e0..e7 (e0 = 1).
 
-The multiplication table is generated at import time by Cayley-Dickson
-doubling of the quaternions: writing an octonion as a pair (a, b) of
-quaternions,
+The multiplication table is stated by its seven oriented quaternionic lines
 
-    (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c))
+    (1,2,3)  (1,4,5)  (2,4,6)  (3,4,7)  (1,7,6)  (2,5,7)  (3,6,5)
 
-with doubling unit e4 = (0, 1). The quaternion part uses e1 e2 = e3 (and
-cyclic), which together with the doubling rule fixes the conventions
+(Baez, The Octonions, Bull. AMS 39, 2002): e0 is the unit, e_i^2 = -1 for
+i >= 1, and for each line and its two cyclic shifts (a, b, c),
+e_a e_b = e_c = -e_b e_a. These are the lines of Cayley-Dickson doubling
+of the quaternions, (a, b)(c, d) = (a c - conj(d) b, d a + b conj(c)), with
+e1 e2 = e3 and doubling unit e4: it gives
 
-    e1 e4 = e5,   e2 e4 = e6,   e3 e4 = e7.
+    e1 e4 = e5,   e2 e4 = e6,   e3 e4 = e7,
 
-Components 0..3 of the 8-vector are the first quaternion, 4..7 the second.
+and the last three lines follow from these by the same rule. Components
+0..3 of the 8-vector are the first quaternion, 4..7 the second.
 
 Octonions are non-associative but alternative; conjugation negates e1..e7
 and is an anti-homomorphism; the norm is multiplicative. All of these are
@@ -43,39 +45,20 @@ __all__ = [
 ]
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # basis 1, e1, e2, e3 with e1 e2 = e3, e2 e3 = e1, e3 e1 = e2
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
-def _quat_conj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
+# the oriented lines (a, b, c) of the module docstring
+_LINES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (1, 7, 6), (2, 5, 7), (3, 6, 5))
 
 
 def _build_mul_tensor() -> np.ndarray:
     # M[i, j, k] = coefficient of e_k in e_i e_j; entries are 0, +1, -1
     tensor = np.zeros((8, 8, 8))
-    for i in range(8):
-        ei = np.zeros(8)
-        ei[i] = 1.0
-        a, b = ei[:4], ei[4:]
-        for j in range(8):
-            ej = np.zeros(8)
-            ej[j] = 1.0
-            c, d = ej[:4], ej[4:]
-            prod_first = _quat_mul(a, c) - _quat_mul(_quat_conj(d), b)
-            prod_second = _quat_mul(d, a) + _quat_mul(b, _quat_conj(c))
-            tensor[i, j, :4] = prod_first
-            tensor[i, j, 4:] = prod_second
+    units = np.arange(8)
+    tensor[0, units, units] = tensor[units, 0, units] = 1.0
+    tensor[units[1:], units[1:], 0] = -1.0
+    for a, b, c in _LINES:
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            tensor[i, j, k] = 1.0
+            tensor[j, i, k] = -1.0
     return tensor
 
 
@@ -198,9 +181,6 @@ class Octonion:
         v = self.coeffs.copy()
         v[0] = 0.0
         return Octonion(v)
-
-    def imag7(self) -> np.ndarray:
-        return self.coeffs[1:].copy()
 
     def norm_sq(self) -> float:
         return float(self.coeffs @ self.coeffs)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +430,44 @@ def test_verify_rejects_wrong_shape(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--matrix", str(path))
     assert code == 1
     assert "729" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"mat": {"a": 1}}', json.dumps(["1.5"] * 729), json.dumps({"mat": [True] * 729}),
+     json.dumps([[1.0] * 27] * 26 + [[1.0] * 26])],
+    ids=["object", "strings", "booleans", "ragged"],
+)
+def test_malformed_matrix_json_is_one_error_line(monkeypatch, capsys, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "verify", "--matrix", "-")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": "matrix entries must be numbers"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"word": "S1"}', "[1,2]", '{"word": 5, "expect": {"eval": 1}}', '{"word": "S1", "expect": [1]}'],
+)
+def test_malformed_fixture_line_is_one_error_line(tmp_path, capsys, line):
+    path = tmp_path / "cases.jsonl"
+    path.write_text(f"{line}\n")
+    code, out, err = run_cli(capsys, "selftest", "--fixtures", str(path))
+    assert (code, out) == (1, "")
+    (msg,) = err.splitlines()
+    assert json.loads(msg) == {
+        "error": "ValueError",
+        "message": "fixtures line 1: need an object with a string 'word' and an object 'expect'",
+    }
+
+
+def test_readme_cfunction_example(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (example,) = [ln for ln in readme.splitlines() if ln.startswith("f4decomp cfunction --lambda 2 ")]
+    code, out, _ = run_cli(capsys, "cfunction", "--lambda", "2")
+    assert code == 0
+    assert out == example.split("# ", 1)[1] + "\n"
 
 
 def test_selftest_replays(capsys):

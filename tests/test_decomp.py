@@ -728,7 +728,7 @@ def test_factorizations_decide_as_with_the_svd_gate(monkeypatch):
         dc.keps_iwasawa(g)
         assert calls, word
     # every test at the SVD gate and the SVD bound alone
-    monkeypatch.setattr(dc, "_gate_floor", lambda col_sq, tol: 0.0)
+    monkeypatch.setattr(lg, "_gate_floor", lambda col_sq, tol: 0.0)
     monkeypatch.setattr(dc, "_norm", lambda m: math.inf)
     assert fast == [_factor_outcomes(w) for w in words]
     refused = [r for outcomes in fast for r in outcomes if isinstance(r[0], str)]

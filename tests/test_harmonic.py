@@ -132,6 +132,25 @@ def test_exp_lambda_h_anchors():
     assert abs(got - 5.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    ("x", "p", "la", "want", "rel"),
+    [
+        # the values are 50-digit mpmath rounded to double; x is real, p
+        # along e1. The exponent lambda H / 2 (690.8, 46.1, 18.4) amplifies
+        # the rounding of H by as much
+        (1e150, 0.0, 2.0, 9.999999999999999e299, 1e-13),  # |x|^4 overflows
+        (1e200, 0.0, 0.1, 1.0000000000000026e20, 1e-13),  # |x|^2 overflows
+        (0.0, 1e160, 0.1, 103526492.38413785, 1e-13),  # |p|^2 overflows
+        (0.7, 0.3, 1.5 + 0.5j, 1.4167995608125883 + 0.168650177337494j, 1e-12),
+    ],
+)
+def test_exp_lambda_h_in_logs(x, p, la, want, rel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ha.exp_lambda_H(x * Octonion.one(), p * Octonion.unit(1), la)
+    assert abs(got - want) <= rel * abs(want)
+
+
 def test_exp_lambda_h_dual_route(rng):
     for _ in range(50):
         x = random_oct(rng, 0.7)

@@ -672,6 +672,16 @@ def test_fixes_refuses_a_nan_deviation():
     assert not lg.stabilizer_check(lg.identity(), [E1, nan])
 
 
+def test_fixes_decides_large_targets():
+    # sigma(1) negates slot 3 and keeps slot 1; a target this large squares
+    # to inf in both the deviation's norm and the tolerance's, and
+    # inf <= inf would read as fixed
+    with np.errstate(all="raise"):
+        for k in range(150, 301):
+            assert not lg.stabilizer_check(lg.sigma(1), [F(3, 10.0**k)]), k
+        assert lg.stabilizer_check(lg.sigma(1), [F(1, 1e300)])
+
+
 def test_m_basis_stabilizes(rng):
     targets = [E1, E2, E3, F(3, 1.0)]
     for b in lg.m_basis():

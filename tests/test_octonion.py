@@ -88,6 +88,13 @@ def test_format_parse_round_trip(xv):
     assert np.array_equal(back.coeffs, x.coeffs)
 
 
+# the algebra laws hold for every sign convention; the fixtures hold only
+# for this one: the Cayley-Dickson products e1 e2 = e3 and e_i e4 = e_(i+4),
+# and the seven oriented lines they give
+_DOUBLING = [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7)]
+_LINES = _DOUBLING + [(1, 7, 6), (2, 5, 7), (3, 6, 5)]
+
+
 def test_basis_relations():
     one = Octonion.one()
     for i in range(1, 8):
@@ -99,6 +106,17 @@ def test_basis_relations():
             assert np.array_equal(
                 mul(ei, Octonion.unit(j)).coeffs, -mul(Octonion.unit(j), ei).coeffs
             )
+
+    def signed_unit(sign, k):
+        v = np.zeros(8)
+        v[k] = sign
+        return v.tobytes()
+
+    for a, b, c in _LINES:
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            ei, ej = Octonion.unit(i), Octonion.unit(j)
+            assert mul(ei, ej).coeffs.tobytes() == signed_unit(1.0, k), (i, j)
+            assert mul(ej, ei).coeffs.tobytes() == signed_unit(-1.0, k), (j, i)
 
 
 def test_real_part_central():
