@@ -78,6 +78,8 @@ from .liegroup import (
     GroupElement,
     VerificationError,
     _adjoint,
+    _d4_rotate_matrix,
+    _exp_A_matrix,
     _fixes,
     _graded_exp_N,
     _norm,
@@ -581,14 +583,15 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
 
     Returns ("P12orbit", w) with w X proportional to the base null vector, or
     ("P13orbit", w) with w X proportional to its quarter-turn image
-    h1(-1,0,1;0,1,0). The witness fixes E2.
+    h1(-1,0,1;0,1,0). The witness fixes E2; it is formed from plain matrices
+    and verified once, on return.
     """
     Xh = ray_rep(X)
     # (Xh|E1) = -1, so |Xh| >= 1 and the tolerance is at least member_tol
     cells = _cells(Xh.vec)
     val, tol = cells.keps, cells.tol
     if cells.closed(val):
-        rot = d4_rotate(2, _closed_cell_direction(Xh, tol), Octonion.one())
+        rot = _d4_rotate_matrix(2, _closed_cell_direction(Xh, tol), Octonion.one())
         label, witness, target = "P13orbit", rot, P13_MINUS.vec
     else:
         if val < 0.0:
@@ -596,17 +599,15 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
         p_hat = val
         x2v = Xh.slot(2)
         n2 = float(np.linalg.norm(x2v))
+        boost, W = identity().mat, Xh
         if n2 > tol:
             xi_p = 0.5 * (float(Xh.vec[2]) - float(Xh.vec[0]))
             if xi_p <= n2:
                 raise VerificationError(
                     f"slot-2 reduction needs (xi3-xi1)/2 > |x2|, got {xi_p:.3e} vs {n2:.3e}"
                 )
-            boost = exp_A(2, 0.5 * math.atanh(n2 / xi_p), Octonion(x2v / n2))
-            W = boost.apply(Xh)
-        else:
-            boost = identity()
-            W = Xh
+            boost = _exp_A_matrix(2, 0.5 * math.atanh(n2 / xi_p), Octonion(x2v / n2))
+            W = JordanElement(boost @ Xh.vec)
         y3 = W.slot(3)
         _require_shape(
             [
@@ -618,13 +619,13 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
             ],
             tol,
         )
-        rot = d4_rotate(3, Octonion(y3 / float(np.linalg.norm(y3))), Octonion.one())
+        rot = _d4_rotate_matrix(3, Octonion(y3 / float(np.linalg.norm(y3))), Octonion.one())
         label, witness, target = "P12orbit", rot @ boost, p_hat * P_MINUS.vec
 
-    dev = float(np.max(np.abs(witness.mat @ Xh.vec - target)))
+    dev = float(np.max(np.abs(witness @ Xh.vec - target)))
     if dev > group_tol() * max(1.0, Xh.norm()):
         raise VerificationError(f"witness postcondition residual {dev:.3e}")
-    return label, witness
+    return label, GroupElement(witness)
 
 
 def flag_classify_nminus(X: JordanElement) -> str:

@@ -72,7 +72,7 @@ def H_nbar(x: Octonion, p: Octonion, t: float = 0.0) -> float:
 def sigma_twist(phi: AlgebraElement) -> AlgebraElement:
     """Conjugate a derivation by the order-two reflection of the first slot."""
     s = lg.sigma(1).mat
-    return AlgebraElement(s @ phi.mat @ s, check=False)
+    return lg._derivation(s @ phi.mat @ s)
 
 
 @cache
@@ -211,6 +211,7 @@ _LOG_TAIL = math.log(1e-17)
 # raises NonConvergent where that needs more than _MAX_NODES nodes
 _REL_TOL = 1e-6
 _MAX_NODES = 1 << 14
+_NOT_CONVERGED = f"trapezoid sums did not agree to {_REL_TOL:g} within {_MAX_NODES} nodes"
 
 
 def _power_integral(k: int, q: complex) -> tuple[complex, float]:
@@ -230,19 +231,23 @@ def _power_integral(k: int, q: complex) -> tuple[complex, float]:
     # sets a first step meeting _REL_TOL. Each halving reuses the nodes.
     growth = 0.5 * math.log(2.0) * q.real + 0.5 * math.pi * abs(q.imag)
     h = math.pi**2 / (2.0 * (growth - math.log(0.5 * _REL_TOL)))
-    n = math.ceil((hi - lo) / h)
+    span = (hi - lo) / h
+    # the first comparison takes 2 ceil(span) + 1 nodes; inf and NaN fail too
+    if not span <= (_MAX_NODES - 1) // 2:
+        raise NonConvergent(_NOT_CONVERGED)
+    n = math.ceil(span)
 
     def f(s: np.ndarray) -> np.ndarray:
         return np.exp(alpha * s - q * np.logaddexp(0.0, 2.0 * s))
 
-    total = h * np.sum(f(lo + h * np.arange(n + 1))) if n < _MAX_NODES else math.nan
+    total = h * np.sum(f(lo + h * np.arange(n + 1)))
     while 2 * n + 1 <= _MAX_NODES:
         fine = 0.5 * (total + h * np.sum(f(lo + h * (np.arange(n) + 0.5))))
         diff = abs(fine - total)
         if diff <= _REL_TOL * abs(fine):
             return complex(fine), diff + tail
         total, h, n = fine, 0.5 * h, 2 * n
-    raise NonConvergent(f"trapezoid sums did not agree to {_REL_TOL:g} within {_MAX_NODES} nodes")
+    raise NonConvergent(_NOT_CONVERGED)
 
 
 def c_quadrature_with_error(lam) -> tuple[complex, float]:

@@ -185,28 +185,30 @@ def cross_square(X):
 
     Vanishes exactly on the rank-one cone; its diagonal entries are the 2x2
     cofactors of the twisted matrix realization. Takes a JordanElement, or
-    an (n, 27) array of coordinate rows and returns the (n, 27) rows.
+    an (..., 27) array of coordinate rows and returns the (..., 27) rows.
     """
     if isinstance(X, JordanElement):
-        return JordanElement(cross_square(X.vec[None])[0])
-    xi1, xi2, xi3 = X[:, 0], X[:, 1], X[:, 2]
-    x1, x2, x3 = X[:, 3:11], X[:, 11:19], X[:, 19:27]
+        return JordanElement(cross_square(X.vec))
+    xi1, xi2, xi3 = X[..., 0], X[..., 1], X[..., 2]
+    x1, x2, x3 = X[..., 3:11], X[..., 11:19], X[..., 19:27]
     # slot norms as stacked dot products, bit-equal to x @ x per row
-    n1, n2, n3 = (np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in (x1, x2, x3))
+    n1, n2, n3 = (np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0] for x in (x1, x2, x3))
     out = np.empty(X.shape)
-    out[:, 0] = xi2 * xi3 - n1
-    out[:, 1] = xi3 * xi1 + n2
-    out[:, 2] = xi1 * xi2 + n3
-    out[:, 3:11] = -oct.conj_vec(oct.mul_batch(x2, x3)) - xi1[:, None] * x1
-    out[:, 11:19] = oct.conj_vec(oct.mul_batch(x3, x1)) - xi2[:, None] * x2
-    out[:, 19:27] = oct.conj_vec(oct.mul_batch(x1, x2)) - xi3[:, None] * x3
+    out[..., 0] = xi2 * xi3 - n1
+    out[..., 1] = xi3 * xi1 + n2
+    out[..., 2] = xi1 * xi2 + n3
+    out[..., 3:11] = -oct.conj_vec(oct.mul_batch(x2, x3)) - xi1[..., None] * x1
+    out[..., 11:19] = oct.conj_vec(oct.mul_batch(x3, x1)) - xi2[..., None] * x2
+    out[..., 19:27] = oct.conj_vec(oct.mul_batch(x1, x2)) - xi3[..., None] * x3
     return out
 
 
-def cross(X: JordanElement, Y: JordanElement) -> JordanElement:
-    """Symmetric bilinear form polarizing cross_square; cross(X,X) = X^x2."""
-    s = cross_square(JordanElement(X.vec + Y.vec))
-    return JordanElement(0.5 * (s.vec - cross_square(X).vec - cross_square(Y).vec))
+def cross(X, Y):
+    """Symmetric bilinear form polarizing cross_square; cross(X,X) = X^x2.
+    Takes two JordanElements, or two arrays of rows that broadcast."""
+    if isinstance(X, JordanElement):
+        return JordanElement(cross(X.vec, Y.vec))
+    return 0.5 * (cross_square(X + Y) - cross_square(X) - cross_square(Y))
 
 
 def det(X: JordanElement) -> float:
@@ -214,31 +216,23 @@ def det(X: JordanElement) -> float:
     return inner(X, cross_square(X)) / 3.0
 
 
-def jordan_mul(X: JordanElement, Y: JordanElement) -> JordanElement:
-    """Jordan product, recovered from the cross form and traces."""
-    tx, ty = trace(X), trace(Y)
-    c = cross(X, Y)
-    vec = c.vec + 0.5 * (tx * Y.vec + ty * X.vec - (tx * ty - inner(X, Y)) * E.vec)
-    return JordanElement(vec)
+def jordan_mul(X, Y):
+    """Jordan product, recovered from the cross form and traces. Takes two
+    JordanElements, or two arrays of rows that broadcast."""
+    if isinstance(X, JordanElement):
+        return JordanElement(jordan_mul(X.vec, Y.vec))
+    tx, ty = X[..., :1] + X[..., 1:2] + X[..., 2:3], Y[..., :1] + Y[..., 1:2] + Y[..., 2:3]
+    # pairings as stacked dot products, bit-equal to inner per row
+    pair = tx * ty - np.matmul(X[..., None, :], (_WEIGHTS * Y)[..., :, None])[..., 0]
+    return cross(X, Y) + 0.5 * (tx * Y + ty * X - pair * E.vec)
 
 
 @functools.cache
 def mul_tensor() -> np.ndarray:
-    """(27,27,27) tensor J with (e_i o e_j)_k = J[i,j,k] over basis27.
-
-    jordan_mul on all 729 basis pairs at once: the cross form polarizes
-    cross_square over the stacked rows e_i + e_j, and the trace terms need
-    trace(e_i), trace(e_j) and (e_i|e_j) only.
-    """
+    """(27,27,27) tensor J with (e_i o e_j)_k = J[i,j,k] over basis27:
+    jordan_mul on the basis rows e_i, broadcast against the rows e_j."""
     eye = np.eye(27)
-    X = np.repeat(eye, 27, axis=0)  # row 27 i + j is e_i ...
-    Y = np.tile(eye, (27, 1))  # ... and e_j
-    sq = cross_square(eye)
-    c = 0.5 * (cross_square(X + Y) - np.repeat(sq, 27, axis=0) - np.tile(sq, (27, 1)))
-    tx, ty = X[:, :3].sum(axis=1), Y[:, :3].sum(axis=1)
-    pair = (tx * ty - (X * _WEIGHTS * Y).sum(axis=1))[:, None]
-    J = c + 0.5 * (tx[:, None] * Y + ty[:, None] * X - pair * E.vec)
-    J = J.reshape(27, 27, 27)
+    J = jordan_mul(eye[:, None], eye[None])
     J.setflags(write=False)
     return J
 

@@ -23,9 +23,9 @@ Closed-form constructions:
   diagonal idempotents, constructed by a one-parameter rotation solve in
   the plane spanned by the source and target slot vectors. Its generator
   is 1/4 the bracket of two slot generators, formed as its three 8x8 slot
-  blocks (`_d4_generator`) and checked once as a derivation by `expm`;
+  blocks (`_d4_generator`), a derivation by construction;
   `_d4_rotate_matrix` takes the same solve and postcondition through
-  `_expm_matrix` without the check.
+  `_expm_matrix` with no verify.
 * expm: `_expm_matrix` scales to Frobenius norm at most 0.5, evaluates the
   degree-16 Taylor polynomial by Paterson-Stockmeyer in six products (no
   per-term norm, no convergence loop), and squares back.
@@ -55,9 +55,9 @@ and S atoms from the verified `exp_A` and `sigma`, and verifies the
 product. Both invert by `_adjoint`: an automorphism keeps the trace
 pairing, so g^-1 = W^-1 g^T W, a transpose and exact scales by the pairing
 weights, which rounds nothing. `identity()` and `sigma(i)` are shared
-verified constants. AlgebraElement and expm check the derivation property
-by one gate, `_check_derivation`; AlgebraElement skips it when built with
-check=False from already checked elements.
+verified constants. An AlgebraElement is checked as a derivation when it
+is made, with no switch, and `expm` trusts it; `_derivation` wraps, unchecked,
+only matrices that are derivations by construction.
 """
 
 from __future__ import annotations
@@ -163,25 +163,19 @@ def derivation_residual(mat: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("kij,kij->ij", diff, diff)).max())
 
 
-def _check_derivation(m: np.ndarray, purpose: str = "") -> None:
-    """The derivation gate, residual <= 1e-9 * max(1, |m|); written so that a
-    NaN residual fails."""
-    res = derivation_residual(m)
-    if not res <= 1e-9 * max(1.0, _norm(m)):
-        raise VerificationError(f"derivation residual {res:.3e} too large{purpose}")
-
-
 class AlgebraElement:
-    """A derivation of the algebra, checked at construction."""
+    """A derivation of the algebra, checked at construction: residual
+    <= 1e-9 * max(1, |m|), written so that a NaN residual fails."""
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, check: bool = True):
+    def __init__(self, mat):
         arr = np.asarray(mat, dtype=float)
         if arr.shape != (27, 27):
             raise ValueError(f"need a 27x27 matrix, got {arr.shape}")
-        if check:
-            _check_derivation(arr)
+        res = derivation_residual(arr)
+        if not res <= 1e-9 * max(1.0, _norm(arr)):
+            raise VerificationError(f"derivation residual {res:.3e} too large")
         self.mat = arr
 
     def apply(self, X: JordanElement) -> JordanElement:
@@ -192,6 +186,13 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(norm={self.norm():.4g})"
+
+
+def _derivation(mat: np.ndarray) -> AlgebraElement:
+    """The AlgebraElement, unchecked, of a matrix that is a derivation by construction."""
+    phi = object.__new__(AlgebraElement)
+    phi.mat = mat
+    return phi
 
 
 def _gate_floor(col_sq: float, tol: float) -> float:
@@ -325,7 +326,12 @@ def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
     (i0, i1, i2), s0, s1, s2, sign, P, Q = _slot_A(i, av)
     # slot 1 rotates, slots 2 and 3 boost
     cos, sin = (math.cos, math.sin) if i == 1 else (math.cosh, math.sinh)
-    c2, s2t, c, s = cos(2 * t), sin(2 * t), cos(t), sin(t)
+    try:
+        c, s = cos(t), sin(t)
+        # 2t overflows past |t| = 8.98e307: cos 2t, sin 2t by the double-angle formulas
+        c2, s2t = (cos(2 * t), sin(2 * t)) if math.isfinite(2 * t) else (c * c - s * s, 2 * s * c)
+    except OverflowError:
+        raise OverflowError(f"exp_A slot {i} at t = {t!r} is past double range") from None
     m = np.zeros((27, 27))
     m[i1, s0] = sign * s2t * av
     m[i2, s0] = -sign * s2t * av
@@ -577,9 +583,8 @@ def gen_G(level: int, param) -> AlgebraElement:
 
 
 def expm(phi: AlgebraElement) -> GroupElement:
-    """Matrix exponential of a derivation, checked as one here, by
-    `_expm_matrix`."""
-    _check_derivation(phi.mat, " to exponentiate")
+    """Matrix exponential of a derivation by `_expm_matrix`; phi was checked
+    when it was made, and the result is verified."""
     return GroupElement(_expm_matrix(phi.mat))
 
 
@@ -593,8 +598,11 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
     """exp(m) on a plain matrix, with no check: scaled by 2^-s to Frobenius
     norm at most 0.5, where the degree-16 Taylor polynomial is exact to below
     1e-19, evaluated by Paterson-Stockmeyer in six products (X^2, X^3, X^4
-    and three Horner steps in X^4), then squared s times."""
+    and three Horner steps in X^4), then squared s times; a norm that is not
+    finite raises VerificationError."""
     norm = _norm(m)
+    if not math.isfinite(norm):
+        raise VerificationError(f"cannot exponentiate a matrix of Frobenius norm {norm}")
     nsq = 0
     if norm > 0.5:
         nsq = max(0, int(math.ceil(math.log2(norm / 0.5))))
@@ -630,7 +638,7 @@ def _basis52() -> tuple[list[AlgebraElement], np.ndarray]:
     flat = np.stack([m.ravel() for m in mats])
     if not np.array_equal(flat @ flat.T, np.diag(_BASIS52_SQ)):
         raise RuntimeError("derivation basis is not orthogonal with squared norms 26 and 96")
-    return [AlgebraElement(m, check=False) for m in mats], flat
+    return [_derivation(m) for m in mats], flat
 
 
 def basis52() -> list[AlgebraElement]:
@@ -686,8 +694,7 @@ def d4_rotate(j: int, u, v) -> GroupElement:
     if solve is None:
         return identity()
     gen, *target = solve
-    # a bracket of two derivations is one; expm checks it once
-    k = expm(AlgebraElement(gen, check=False))
+    k = expm(_derivation(gen))
     _d4_reaches(k.mat, *target)
     return k
 
@@ -749,17 +756,9 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
         bhat = w / wn
         dlt = float(vhat @ bhat)
     gen = _d4_generator(j, uhat, bhat)
-    S = gen[_SLOTS[j - 1], _SLOTS[j - 1]]
-    su = S @ uhat
-    s = float(bhat @ su)
-    # on span(u, b) the slot action must be u -> s b, b -> -s u with |s| = 1
-    if (
-        abs(abs(s) - 1.0) > 1e-9
-        or _norm(su - s * bhat) > 1e-9
-        or _norm(S @ bhat + s * uhat) > 1e-9
-    ):
-        raise RotationError("slot action of the rotation generator is not a plane rotation")
-    # exp(theta*gen) maps uhat to cos(theta) uhat + s sin(theta) bhat
+    # gen turns u -> s b, b -> -s u (s = +-1), so exp(theta*gen) maps uhat to
+    # cos(theta) uhat + s sin(theta) bhat; `_d4_reaches` refuses any miss
+    s = float(bhat @ (gen[_SLOTS[j - 1], _SLOTS[j - 1]] @ uhat))
     theta = math.atan2(dlt * s, gamma)
     return gen * theta, F(j, us).vec, F(j, vs).vec, max(floor, nu)
 
@@ -791,7 +790,7 @@ def m_basis() -> list[AlgebraElement]:
     Frobenius norm: the last 21 elements of basis52, the brackets
     [gen_A(3, e_j), gen_A(3, e_k)] of the imaginary units, 1 <= j < k <= 7,
     which rotate the plane of e_j and e_k in slot 3 and fix its real unit."""
-    return [AlgebraElement(b.mat / _norm(b.mat), check=False) for b in basis52()[31:]]
+    return [_derivation(b.mat / _norm(b.mat)) for b in basis52()[31:]]
 
 
 @dataclass

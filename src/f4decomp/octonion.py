@@ -75,8 +75,8 @@ def mul_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def mul_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise products of two (n, 8) arrays."""
-    return np.einsum("ni,ijk,nj->nk", xs, MUL_TENSOR, ys)
+    """Row-wise products of two (..., 8) arrays."""
+    return np.einsum("...i,ijk,...j->...k", xs, MUL_TENSOR, ys)
 
 
 def conj_vec(x: np.ndarray) -> np.ndarray:

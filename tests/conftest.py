@@ -124,7 +124,7 @@ def random_m(rng, scale=0.4):
     basis = lg.m_basis()
     coeff = scale * rng.standard_normal(len(basis))
     mat = sum(c * b.mat for c, b in zip(coeff, basis))
-    return lg.expm(lg.AlgebraElement(mat, check=False))
+    return lg.expm(lg.AlgebraElement(mat))
 
 
 def random_keps(rng):

@@ -153,9 +153,7 @@ def test_criterion_05_keps_iwasawa():
         rebuilt = f.k_eps @ lg.exp_A(3, f.t, 1.0) @ lg.exp_N(1, f.n.x, f.n.p)
         assert np.max(np.abs(rebuilt.mat - g.mat)) < 1e-7
     assert violations == 0
-    g0 = lg.expm(
-        lg.AlgebraElement(-0.5 * math.pi * lg.gen_A(1, Octonion.one()).mat, check=False)
-    )
+    g0 = lg.expm(lg.AlgebraElement(-0.5 * math.pi * lg.gen_A(1, Octonion.one()).mat))
     with pytest.raises(dc.DegenerateCell):
         dc.keps_iwasawa(g0)
 

@@ -238,6 +238,20 @@ def test_zeroth_power_keeps_its_base_checks(capsys, base):
     assert run_cli(capsys, "eval", "--word", f"{base}^0") == want
 
 
+@pytest.mark.parametrize("t", ["8.99e307", "-1e308"])
+def test_eval_rotation_past_double_angle_range(capsys, t):
+    code, out, err = run_cli(capsys, "eval", "--word", f"A1({t};1)")
+    assert code == 0 and err == ""
+    assert json.loads(out)["residual"] <= 1e-15
+
+
+def test_boost_overflow_names_slot_and_t(capsys):
+    code, out, err = run_cli(capsys, "eval", "--word", "A2(400;1)")
+    assert code == 1 and out == ""
+    message = "exp_A slot 2 at t = 400.0 is past double range"
+    assert json.loads(err) == {"error": "OverflowError", "message": message}
+
+
 def test_overflow_is_a_json_error(capsys):
     code, out, err = run_cli(capsys, "eval", "--word", "A2(1000;1)")
     assert code == 1 and out == ""
@@ -385,6 +399,7 @@ def test_cfunction_refuses_lambda_past_its_precision(capsys):
     [
         ("0.001", "NonConvergent", "within 16384 nodes"),
         ("1e-300", "ValueError", "lambda=(1e-300+0j)"),
+        ("1,1.7e308", "NonConvergent", "within 16384 nodes"),
     ],
 )
 def test_cfunction_quad_refusals_are_one_json_error(capsys, lam, error, message):

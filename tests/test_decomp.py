@@ -825,6 +825,18 @@ def test_flag_classify_keps(rng):
         assert np.max(np.abs(moved.vec - c * target.vec)) <= 1e-7 * max(1.0, X.norm())
 
 
+def test_flag_classify_keps_verifies_its_witness_once(rng, monkeypatch):
+    # the witness is formed from plain matrices and verified on return only
+    real, calls = lg.verify, []
+    monkeypatch.setattr(lg, "verify", lambda m: calls.append(1) or real(m))
+    words = ["S1", "A1(-1.5707963267948966;1)*G1(0.2e1)", "A2(0.3;e2)*A3(0.2;1)*G1(0.1e3)"]
+    gs = [eval_word(parse(w)) for w in words] + [random_group(rng) for _ in range(5)]
+    for g in gs:
+        calls.clear()
+        dc.flag_classify_keps(JordanElement(g.mat @ P_MINUS.vec))
+        assert len(calls) == 1
+
+
 def test_flag_classify_nminus_matches_bruhat(rng):
     # the label is one of the ray, so it does not depend on the scale of X
     for _ in range(20):

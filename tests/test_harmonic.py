@@ -102,7 +102,7 @@ def test_killing_structure_matches_trace(rng):
     for _ in range(10):
         c = rng.standard_normal(52)
         mat = sum(ci * b.mat for ci, b in zip(c, basis))
-        phi = lg.AlgebraElement(mat, check=False)
+        phi = lg.AlgebraElement(mat)
         lhs = ha.killing_structure(phi)
         rhs = lg.killing(phi, ha.sigma_twist(phi))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
@@ -282,6 +282,17 @@ def test_c_quadrature_node_cap():
     got, err = ha.c_quadrature_with_error(0.03)
     assert abs(got - want) <= 1e-6 * abs(want)
     assert abs(got - want) <= err
+
+
+@pytest.mark.parametrize(
+    "la", [5e307, 1.7e308, 1 + 1.7e308j, 3e307 + 3e307j, 2e307, 1 + 1e308j, 0.008]
+)
+def test_c_quadrature_refuses_a_span_past_the_node_cap(la):
+    # the first trapezoid span overflows, or needs more nodes than the cap
+    # leaves for a comparison (0.008 would sum 15792 nodes for nothing); it
+    # is refused before its node count is taken
+    with pytest.raises(ha.NonConvergent, match="within 16384 nodes"):
+        ha.c_quadrature(la)
 
 
 def test_spherical_at_origin():

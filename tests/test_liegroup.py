@@ -58,6 +58,24 @@ def test_exp_A_refuses_a_nan_direction():
             lg.exp_A(i, 0.3, [np.nan] + [0.0] * 7)
 
 
+@pytest.mark.parametrize("t", [8.98e307, 8.99e307, -1e308, 1.7976931348623157e308])
+def test_exp_A_rotates_at_every_finite_t(t):
+    # cos 2t and sin 2t come from math.cos(2t) and math.sin(2t) while 2t is
+    # finite, and from t's own cos and sin where 2t overflows
+    g = lg.exp_A(1, t, 1.0)
+    c, s = math.cos(t), math.sin(t)
+    c2 = math.cos(2 * t) if math.isfinite(2 * t) else c * c - s * s
+    assert g.mat[1, 1] == 0.5 * (1 + c2) and g.mat[2, 1] == 0.5 * (1 - c2)
+    assert g.mat[3, 3] == 1 - 2 * s * s
+    assert g.residual <= 1e-15
+
+
+@pytest.mark.parametrize(("i", "t"), [(2, 400.0), (3, -400.0), (2, 1e308), (3, 8.99e307)])
+def test_exp_A_boost_past_double_range_names_slot_and_t(i, t):
+    with pytest.raises(OverflowError, match=re.escape(f"exp_A slot {i} at t = {t!r}")):
+        lg.exp_A(i, t, 1.0)
+
+
 def test_exp_A_compact_slot_is_periodic():
     # slot 1 pairs eigenvalues with the compact direction: period 2 pi
     g = lg.exp_A(1, 2.0 * math.pi, 1.0)
@@ -420,10 +438,17 @@ def test_algebra_element_refuses_nan():
 
 
 def test_expm_refuses_nan_derivation():
-    # an unchecked NaN derivation fails the exponential's own check instead
-    # of running the series to its term limit
-    with pytest.raises(lg.VerificationError):
-        lg.expm(lg.AlgebraElement(np.full((27, 27), np.nan), check=False))
+    # expm trusts its AlgebraElement, so an unchecked matrix of NaN or
+    # infinite entries reaches the exponential. Its scaling refuses the
+    # non-finite norm, which no finite number of squarings brings to 0.5
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(lg.VerificationError, match="Frobenius norm"):
+            lg.expm(lg._derivation(np.full((27, 27), bad)))
+
+
+def test_algebra_element_has_no_check_switch():
+    with pytest.raises(TypeError):
+        lg.AlgebraElement(np.zeros((27, 27)), check=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -549,8 +574,8 @@ def test_killing_trace_matches_structure_constants(rng):
     basis = lg.basis52()
     for _ in range(5):
         c, d = rng.standard_normal((2, 52))
-        phi = lg.AlgebraElement(sum(ci * b.mat for ci, b in zip(c, basis)), check=False)
-        psi = lg.AlgebraElement(sum(di * b.mat for di, b in zip(d, basis)), check=False)
+        phi = lg.AlgebraElement(sum(ci * b.mat for ci, b in zip(c, basis)))
+        psi = lg.AlgebraElement(sum(di * b.mat for di, b in zip(d, basis)))
         ad_route = float(np.tensordot(lg.ad_matrix(phi), lg.ad_matrix(psi).T, axes=2))
         assert abs(lg.killing(phi, psi) - ad_route) <= 1e-12 * abs(ad_route)
 
@@ -593,7 +618,7 @@ def test_grading_residual_sees_a_wrong_torus(monkeypatch):
     real = lg.gen_A
 
     def noisy(i, a):
-        return lg.AlgebraElement(real(i, a).mat + noise, check=False)
+        return lg._derivation(real(i, a).mat + noise)
 
     monkeypatch.setattr(lg, "gen_A", noisy)
     assert lg.theta_eps_check().grading_residual > 1e-6
@@ -623,7 +648,7 @@ def test_expm_matches_scipy(rng):
     basis = lg.basis52()
     c = 0.2 * rng.standard_normal(52)
     mat = sum(ci * b.mat for ci, b in zip(c, basis))
-    got = lg.expm(lg.AlgebraElement(mat, check=False)).mat
+    got = lg.expm(lg.AlgebraElement(mat)).mat
     assert np.max(np.abs(got - scipy.linalg.expm(mat))) <= 1e-11
 
 
@@ -635,7 +660,7 @@ def test_expm_matches_scipy_across_scales(rng, scale):
     for _ in range(4):
         mat = sum(ci * b.mat for ci, b in zip(rng.standard_normal(52), basis))
         mat *= scale / np.linalg.norm(mat)
-        got = lg.expm(lg.AlgebraElement(mat, check=False)).mat
+        got = lg.expm(lg.AlgebraElement(mat)).mat
         want = scipy.linalg.expm(mat)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -666,6 +691,18 @@ def test_d4_generator_is_the_quarter_bracket(rng, j):
     assert dev <= 4 * math.pi * 1e-16
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_d4_rotate_refuses_a_rotation_that_misses(rng, monkeypatch, j):
+    # twice the generator turns twice as far as the solve's angle; the
+    # postcondition of both routes refuses the missed target
+    real = lg._d4_generator
+    monkeypatch.setattr(lg, "_d4_generator", lambda j, a, b: 2 * real(j, a, b))
+    u, v = _orthonormal_pair(rng)
+    for fn in (lg.d4_rotate, lg._d4_rotate_matrix):
+        with pytest.raises(lg.RotationError, match="failed to reach the target"):
+            fn(j, u, v)
+
+
 def test_fixes_refuses_a_nan_deviation():
     nan = JordanElement(np.full(27, np.nan))
     assert not lg.stabilizer_check(lg.exp_A(3, 0.5, 1), [nan])
@@ -690,7 +727,7 @@ def test_m_basis_stabilizes(rng):
 
 
 def test_stabilizer_check(rng):
-    m = lg.expm(lg.AlgebraElement(0.3 * lg.m_basis()[0].mat, check=False))
+    m = lg.expm(lg.AlgebraElement(0.3 * lg.m_basis()[0].mat))
     assert lg.stabilizer_check(m, [E1, E2, E3, F(3, 1.0)])
     assert not lg.stabilizer_check(lg.exp_A(3, 0.5, 1.0), [E1])
 
