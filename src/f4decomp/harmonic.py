@@ -5,8 +5,9 @@ element, the Killing-form normalization of the restricted root, the
 quadratic form on the nilpotent levels, the c-function both as a Gamma
 ratio and by an independent trapezoidal quadrature, and the spherical
 function as a Jacobi function: a hypergeometric series near the origin and
-its connection formula, whose coefficient is the c-function, beyond.
-Everything is plain numpy, including a complex log-Gamma.
+its connection formula, whose coefficient is the c-function, beyond. One
+series summer serves real and complex lambda and sums overflowing terms
+from their logs. Everything is plain numpy, including a complex log-Gamma.
 """
 
 from __future__ import annotations
@@ -295,55 +296,45 @@ def _scaled_hyp2f1(expo, log_size, a, b, c, z: float) -> tuple[np.ndarray, np.nd
     The term count starts from z and the parameter sizes and doubles until
     the remainder is below roundoff: for m >= n the ratio of consecutive
     terms is at most rho = z (1 + |a-1|/(n+1)) (1 + |b-c|/(Re c + n)), so
-    the remainder is at most |last term| rho / (1 - rho).
+    the remainder is at most |last term| rho / (1 - rho). Where the product
+    of the ratios overflows, the terms come from the running sum of their
+    logs instead, shifted by its largest real part, top, into the prefactor
+    exp(expo + top); past double range the value is not finite.
     """
     a, b, c = (np.asarray(v, dtype=complex)[..., None] for v in (a, b, c))
     n = math.ceil((40.0 + float(np.max(np.abs(a) + np.abs(b)))) / -math.log(z)) if z else 1
     rows = np.broadcast(a, b, c).size
     while n * rows <= _MAX_TERMS:
         m = np.arange(n, dtype=float)
-        terms = np.cumprod(z * (a + m) * (b + m) / ((c + m) * (m + 1.0)), axis=-1)
-        mag = 1.0 + np.abs(terms).sum(axis=-1)
+        ratio = z * (a + m) * (b + m) / ((c + m) * (m + 1.0))
+        terms = np.cumprod(ratio, axis=-1)
+        lead, top, drift = 1.0, 0.0, 0.0
+        if not np.isfinite(terms).all():
+            log_ratio = np.log(ratio)
+            log_terms = np.cumsum(log_ratio, axis=-1)
+            top = np.maximum(0.0, log_terms.real.max(axis=-1))
+            shifted = log_terms - top[..., None]
+            terms = np.exp(shifted)
+            lead = np.exp(-top)
+            # a log ratio is off by a few roundings plus one of its size, a
+            # running sum by one of each partial sum (Higham 2002, sec. 4.2),
+            # the shift by one of its size
+            sizes = np.cumsum(8.0 + np.abs(log_ratio) + np.abs(log_terms), axis=-1) + np.abs(shifted)
+            drift = _EPS * (np.abs(terms) * sizes).sum(axis=-1)
+        mag = lead + np.abs(terms).sum(axis=-1)
         last = np.abs(terms[..., -1])
         den = c.real[..., 0] + n
         rho = z * (1.0 + np.abs(a - 1.0)[..., 0] / (n + 1.0)) * (
             1.0 + np.abs(b - c)[..., 0] / np.where(den > 0.0, den, np.nan)
         )
         if np.all((rho < 1.0) & (last * rho <= _EPS * mag * (1.0 - rho))):
-            pref = np.exp(expo)
-            val = pref * (1.0 + terms.sum(axis=-1))
+            pref = np.exp(expo + top)
+            val = pref * (lead + terms.sum(axis=-1))
             tail = last * rho / (1.0 - rho)
-            return val, np.abs(val) * _EPS * log_size + np.abs(pref) * (n * _ROUNDOFF * mag + tail)
+            err = np.abs(pref) * (n * _ROUNDOFF * mag + tail + drift)
+            return val, np.abs(val) * _EPS * (log_size + top) + err
         n *= 2
     raise NonConvergent(f"hypergeometric series needs more than {_MAX_TERMS // rows} terms")
-
-
-def _log_hyp2f1(expo: float, a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """exp(expo) 2F1(a, b; c; z) for 0 <= z < 1 and real parameters with
-    every term positive, and a bound on its error.
-
-    The terms come from the running sum of their log ratios, shifted by its
-    maximum before exponentiating; past double range the value is inf.
-    """
-    m = np.arange(_MAX_TERMS, dtype=float)
-    log_ratio = np.log(z * (a + m) * (b + m) / ((c + m) * (m + 1.0)))
-    log_terms = np.cumsum(log_ratio)
-    top = max(0.0, float(log_terms.max()))
-    shifted = np.exp(log_terms - top)
-    mag = math.exp(-top) + float(shifted.sum())
-    n = _MAX_TERMS
-    rho = z * (1.0 + abs(a - 1.0) / (n + 1.0)) * (1.0 + abs(b - c) / (c + n))
-    if not (rho < 1.0 and shifted[-1] * rho <= _EPS * mag * (1.0 - rho)):
-        raise NonConvergent(f"hypergeometric series needs more than {n} terms")
-    # a log ratio is off by a few roundings plus one of its size, a running
-    # sum by one of each partial sum (Higham 2002, sec. 4.2), the shift by
-    # one of its size; the plain sum of n terms by n roundings
-    drift = _EPS * (np.cumsum(8.0 + np.abs(log_ratio) + np.abs(log_terms)) + top - log_terms)
-    pref = float(np.exp(expo + top))
-    val = pref * mag
-    tail = shifted[-1] * rho / (1.0 - rho)
-    err = val * _EPS * (abs(expo) + top) + pref * (float(shifted @ drift) + n * _EPS * mag + tail)
-    return val, err
 
 
 def _spherical_connection(lams: np.ndarray, log_cosh: float) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +376,8 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
     Jacobi-function form (Koornwinder 1984). Up to t = 2 (tanh^2 t <= 0.93)
     it is summed as a power series in tanh^2 t, beyond as the connection
     formula in sech^2 t < 0.071. The bound adds the roundoff of the summed
-    terms, the series remainder and the log-space error of the prefactor.
+    terms or their logs, the series remainder and the log-space error of
+    the prefactor.
     """
     la = complex(lam)
     t = abs(float(t))
@@ -399,14 +391,7 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         b = (RHO_ALPHA - la) / 4.0
         expo = -2.0 * a * log_cosh
         z = math.tanh(t) ** 2
-        try:
-            val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, z)
-        except NonConvergent:
-            # at real lambda the plain terms can overflow before the sum
-            # converges; every term is positive, so sum them from their logs
-            if la.imag != 0.0:
-                raise
-            val, err = _log_hyp2f1(expo.real, a.real, M_ALPHA - b.real, M_ALPHA, z)
+        val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, z)
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:

@@ -331,7 +331,7 @@ def s15_from(x, y) -> JordanElement:
     nx, ny = xo.norm_sq(), yo.norm_sq()
     if abs(nx + ny - 1.0) > 1e-12 * max(1.0, nx + ny):
         raise ValueError(f"(x|x)+(y|y) = {nx + ny}, need 1")
-    x1 = oct.conj_vec(oct.mul_vec(xo.coeffs, yo.coeffs))
+    x1 = oct.conj_vec(oct.mul_batch(xo.coeffs, yo.coeffs))
     return h1(-1.0, ny, nx, x1, xo.coeffs, yo.coeffs)
 
 

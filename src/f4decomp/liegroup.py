@@ -323,6 +323,8 @@ def _exp_A_matrix(i: int, t: float, a) -> np.ndarray:
     if not abs(av @ av - 1.0) <= 1e-12:
         raise ValueError(f"direction must be unit, got |a|^2 = {av @ av}")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"parameter t must be finite, got {t}")
     (i0, i1, i2), s0, s1, s2, sign, P, Q = _slot_A(i, av)
     # slot 1 rotates, slots 2 and 3 boost
     cos, sin = (math.cos, math.sin) if i == 1 else (math.cosh, math.sinh)
@@ -467,6 +469,13 @@ def _from_scatter(scatter: tuple, source: np.ndarray) -> np.ndarray:
     return C.reshape(27, 27) @ jordan._V_INV
 
 
+def _require_finite(**params: np.ndarray) -> None:
+    # refuses the first non-finite parameter by name, before any arithmetic
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"parameter {name} must be finite, got {value}")
+
+
 def _imO(p) -> np.ndarray:
     pv = oct._coerce(p)
     # written so that a NaN real part fails
@@ -491,6 +500,7 @@ def _exp_N_matrix(level: int, x, p) -> np.ndarray:
         raise ValueError(f"level must be +1 or -1, got {level}")
     xv = oct._coerce(x)
     pv = _imO(p)
+    _require_finite(x=xv, p=pv)
     # G2(p) + G1(x) without building a generator whose parameter is zero;
     # a zero generator's matrix is all +0.0, so the sum starts from +0.0
     gen = np.zeros((27, 27))
@@ -719,6 +729,7 @@ def _d4_solve(j: int, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] 
     _cyclic(j)
     uv = oct._coerce(u)
     vv = oct._coerce(v)
+    _require_finite(u=uv, v=vv)
     # the rotation is scale-invariant; dividing both vectors by a common power
     # of two is exact, keeps their squared norms in range, and scales every
     # comparison below (floor = the scaled 1 of the postcondition's

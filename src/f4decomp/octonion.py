@@ -34,7 +34,6 @@ __all__ = [
     "im",
     "inner",
     "norm_sq",
-    "mul_vec",
     "conj_vec",
     "mul_batch",
     "left_mul_matrix",
@@ -67,11 +66,6 @@ MUL_TENSOR.setflags(write=False)
 
 _CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 _CONJ_SIGNS.setflags(write=False)
-
-
-def mul_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two raw 8-vectors."""
-    return np.einsum("i,ijk,j->k", x, MUL_TENSOR, y)
 
 
 def mul_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -152,12 +146,12 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Octonion(self.coeffs * float(other))
-        return Octonion(mul_vec(self.coeffs, _coerce(other)))
+        return Octonion(mul_batch(self.coeffs, _coerce(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             return Octonion(self.coeffs * float(other))
-        return Octonion(mul_vec(_coerce(other), self.coeffs))
+        return Octonion(mul_batch(_coerce(other), self.coeffs))
 
     def __truediv__(self, scalar):
         return Octonion(self.coeffs / float(scalar))
@@ -206,7 +200,7 @@ def _coerce(x) -> np.ndarray:
 
 
 def mul(x, y) -> Octonion:
-    return Octonion(mul_vec(_coerce(x), _coerce(y)))
+    return Octonion(mul_batch(_coerce(x), _coerce(y)))
 
 
 def conj(x) -> Octonion:

@@ -311,7 +311,7 @@ def test_spherical_domain():
         ha.spherical(-2.0, 0.5)
 
 
-@pytest.mark.parametrize("la,t", [(1000.0, 2.5), (1000.0, 2.0), (2000.0, 1.0)])
+@pytest.mark.parametrize("la,t", [(1000.0, 2.5), (1000.0, 2.0), (2000.0, 1.0), (1000 + 1j, 2.0)])
 def test_spherical_past_double_range_overflows(la, t):
     # phi is past double range here; at t <= 2 its series terms overflow
     # first, which must not read as a slow series
@@ -319,10 +319,13 @@ def test_spherical_past_double_range_overflows(la, t):
         ha.spherical(la, t)
 
 
-@pytest.mark.parametrize("la,t", [(500.0, 2.0), (700.0, 1.5), (1500.0, 0.8)])
+@pytest.mark.parametrize("la,t", [
+    (500.0, 2.0), (700.0, 1.5), (1500.0, 0.8), (500 + 1j, 2.0), (700 + 0.5j, 1.5), (1500 + 2j, 0.8),
+])
 def test_spherical_in_range_past_series_overflow(la, t):
     # phi is within double range, but the Pfaff series' plain terms
-    # overflow before they converge (phi_500(2) = 2.05e198)
+    # overflow before they converge (phi_500(2) = 2.05e198), at real and
+    # complex lambda alike
     got, err = ha.spherical_with_error(la, t)
     want = jacobi_reference(la, t)
     assert abs(got - want) <= 1e-10 * abs(want)

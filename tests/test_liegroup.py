@@ -76,6 +76,29 @@ def test_exp_A_boost_past_double_range_names_slot_and_t(i, t):
         lg.exp_A(i, t, 1.0)
 
 
+_INF_E1 = np.where(np.arange(8) == 1, np.inf, 0.0)
+_INF_E2 = np.where(np.arange(8) == 2, np.inf, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("name", "fn", "args"), [
+    ("t", lg.exp_A, (1, np.inf, 1.0)),
+    ("t", lg.exp_A, (2, np.inf, 1.0)),
+    ("t", lg.exp_A, (2, -np.inf, 1.0)),
+    ("t", lg.exp_A, (3, np.nan, 1.0)),
+    ("x", lg.exp_N, (1, np.roll(_INF_E1, -1), 0.0)),
+    ("x", lg._exp_N_matrix, (-1, np.roll(_INF_E1, -1), 0.0)),
+    ("p", lg.exp_N, (1, 0.0, _INF_E2)),
+    ("u", lg.d4_rotate, (1, _INF_E1, _INF_E2)),
+    ("v", lg._d4_rotate_matrix, (2, np.eye(8)[1], _INF_E2)),
+])
+def test_non_finite_parameters_are_refused_by_name(name, fn, args):
+    # refused up front, before any arithmetic could warn or read them as a
+    # norm mismatch or a non-finite matrix
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+        fn(*args)
+
+
 def test_exp_A_compact_slot_is_periodic():
     # slot 1 pairs eigenvalues with the compact direction: period 2 pi
     g = lg.exp_A(1, 2.0 * math.pi, 1.0)
