@@ -299,7 +299,8 @@ def _scaled_hyp2f1(expo, log_size, a, b, c, z: float) -> tuple[np.ndarray, np.nd
     the remainder is at most |last term| rho / (1 - rho). Where the product
     of the ratios overflows, the terms come from the running sum of their
     logs instead, shifted by its largest real part, top, into the prefactor
-    exp(expo + top); past double range the value is not finite.
+    exp(expo + top); past double range the value is not finite, and a
+    shifted sum that cancels to below its own error bound is refused.
     """
     a, b, c = (np.asarray(v, dtype=complex)[..., None] for v in (a, b, c))
     n = math.ceil((40.0 + float(np.max(np.abs(a) + np.abs(b)))) / -math.log(z)) if z else 1
@@ -309,30 +310,30 @@ def _scaled_hyp2f1(expo, log_size, a, b, c, z: float) -> tuple[np.ndarray, np.nd
         ratio = z * (a + m) * (b + m) / ((c + m) * (m + 1.0))
         terms = np.cumprod(ratio, axis=-1)
         lead, top, drift = 1.0, 0.0, 0.0
-        if not np.isfinite(terms).all():
+        logs = not cmath.isfinite(terms[..., -1].sum())  # inf and nan persist down a product
+        if logs:
             log_ratio = np.log(ratio)
             log_terms = np.cumsum(log_ratio, axis=-1)
             top = np.maximum(0.0, log_terms.real.max(axis=-1))
             shifted = log_terms - top[..., None]
-            terms = np.exp(shifted)
-            lead = np.exp(-top)
-            # a log ratio is off by a few roundings plus one of its size, a
-            # running sum by one of each partial sum (Higham 2002, sec. 4.2),
-            # the shift by one of its size
+            terms, lead = np.exp(shifted), np.exp(-top)
+            # a log ratio is off by a few roundings plus one of its size, a running sum
+            # by one of each partial sum (Higham 2002, sec. 4.2), the shift by one of its size
             sizes = np.cumsum(8.0 + np.abs(log_ratio) + np.abs(log_terms), axis=-1) + np.abs(shifted)
             drift = _EPS * (np.abs(terms) * sizes).sum(axis=-1)
         mag = lead + np.abs(terms).sum(axis=-1)
         last = np.abs(terms[..., -1])
         den = c.real[..., 0] + n
-        rho = z * (1.0 + np.abs(a - 1.0)[..., 0] / (n + 1.0)) * (
-            1.0 + np.abs(b - c)[..., 0] / np.where(den > 0.0, den, np.nan)
-        )
+        den = np.where(den > 0.0, den, np.nan)
+        rho = z * (1.0 + np.abs(a - 1.0)[..., 0] / (n + 1.0)) * (1.0 + np.abs(b - c)[..., 0] / den)
         if np.all((rho < 1.0) & (last * rho <= _EPS * mag * (1.0 - rho))):
+            total = lead + terms.sum(axis=-1)
+            bound = n * _ROUNDOFF * mag + last * rho / (1.0 - rho) + drift
+            if logs and not np.all(bound < np.abs(total)):
+                raise NonConvergent("hypergeometric series cancels to below its error bound")
             pref = np.exp(expo + top)
-            val = pref * (lead + terms.sum(axis=-1))
-            tail = last * rho / (1.0 - rho)
-            err = np.abs(pref) * (n * _ROUNDOFF * mag + tail + drift)
-            return val, np.abs(val) * _EPS * (log_size + top) + err
+            val = pref * total
+            return val, np.abs(val) * _EPS * (log_size + top) + np.abs(pref) * bound
         n *= 2
     raise NonConvergent(f"hypergeometric series needs more than {_MAX_TERMS // rows} terms")
 
@@ -390,8 +391,7 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         a = (RHO_ALPHA + la) / 4.0
         b = (RHO_ALPHA - la) / 4.0
         expo = -2.0 * a * log_cosh
-        z = math.tanh(t) ** 2
-        val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, z)
+        val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, math.tanh(t) ** 2)
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:

@@ -319,6 +319,17 @@ def test_spherical_past_double_range_overflows(la, t):
         ha.spherical(la, t)
 
 
+@pytest.mark.parametrize("la,t", [(300 + 900j, 2.0), (300 + 1200j, 1.5), (1 + 1200j, 2.0)])
+def test_spherical_refuses_a_cancelled_series(la, t):
+    # the series terms overflow and their shifted sum cancels to below its
+    # own bound: no digit survives, which is neither a value nor an overflow
+    # of phi (|phi| <= 1 near the imaginary axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ha.NonConvergent, match="cancels"):
+            ha.spherical_with_error(la, t)
+
+
 @pytest.mark.parametrize("la,t", [
     (500.0, 2.0), (700.0, 1.5), (1500.0, 0.8), (500 + 1j, 2.0), (700 + 0.5j, 1.5), (1500 + 2j, 0.8),
 ])
