@@ -10,13 +10,16 @@ Subcommands:
     classify   cell and orbit labels of a word
     cfunction  spectral density denominator at a given parameter
     verify     automorphism residual of a matrix supplied as JSON
-    selftest   replay the packaged fixture words (--bless regenerates)
+    selftest   replay the packaged fixture words (--bless recomputes them)
 
-Every subcommand prints a single JSON object on stdout. Failures print
-{"error": <type name>, "message": <text>} on stderr and exit with code 2
-when the input lies outside the open cell of a requested factorization
-(DegenerateCell, DegeneratePairing) and code 1 for every other error,
-overflow included. Non-finite inputs (NaN or infinite matrix entries or
+Every subcommand prints a single JSON object on stdout; a word
+subcommand's is its library result written field by field, a
+factorization's with the subcommand name under "kind". selftest --bless
+recomputes each line of the packaged fixture file, so a fixture is added
+as a line of that file. Failures print {"error": <type name>, "message":
+<text>} on stderr and exit with code 2 when the input lies outside the
+open cell of a requested factorization (DegenerateCell,
+DegeneratePairing) and code 1 for every other error, overflow included. Non-finite inputs (NaN or infinite matrix entries or
 spectral parameters), non-finite c-function values and automorphism
 residuals are rejected with code 1.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -44,59 +48,23 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def element_json(g: liegroup.GroupElement) -> dict:
-    return {
-        "mat": [float(v) for v in g.mat.ravel()],
-        "residual": float(g.residual),
-    }
-
-
-def nparams_json(n: decomp.NParams) -> dict:
-    # x is a full octonion, p is imaginary: keep only its seven imag coords
-    return {
-        "x": [float(v) for v in n.x.coeffs],
-        "p": [float(v) for v in n.p.coeffs[1:]],
-    }
-
-
-def factors_json(f) -> dict:
-    if isinstance(f, decomp.IwasawaFactors):
-        return {
-            "kind": "iwasawa",
-            "k": element_json(f.k),
-            "t": float(f.t),
-            "n": nparams_json(f.n),
-            "residual": float(f.residual),
-        }
-    if isinstance(f, decomp.KEpsFactors):
-        return {
-            "kind": "keps",
-            "k": element_json(f.k_eps),
-            "t": float(f.t),
-            "n": nparams_json(f.n),
-            "residual": float(f.residual),
-        }
-    if isinstance(f, decomp.MatsukiFactors):
-        return {
-            "kind": "matsuki",
-            "cell": f.cell.lower(),
-            "w": bool(f.w),
-            "k": element_json(f.k_eps),
-            "m": element_json(f.m),
-            "t": float(f.t),
-            "n": nparams_json(f.n),
-            "residual": float(f.residual),
-        }
-    if isinstance(f, decomp.GaussFactors):
-        return {
-            "kind": "gauss",
-            "z": nparams_json(f.z),
-            "m": element_json(f.m),
-            "t": float(f.t),
-            "n": nparams_json(f.n),
-            "residual": float(f.residual),
-        }
-    raise TypeError(f"not a factorization record: {type(f).__name__}")
+def _json(value):
+    """The JSON form of a library result. A GroupElement is {"mat",
+    "residual"}; an NParams is {"x", "p"}, with p's seven imaginary
+    coordinates; a factor record is its dataclass fields by name (k_eps as
+    "k"), with numbers as floats and the Matsuki cell lower-cased; the
+    labels of classify_json pass through."""
+    if isinstance(value, liegroup.GroupElement):
+        return {"mat": [float(v) for v in value.mat.ravel()], "residual": float(value.residual)}
+    if isinstance(value, decomp.NParams):
+        return {"x": [float(v) for v in value.x.coeffs],
+                "p": [float(v) for v in value.p.coeffs[1:]]}
+    if dataclasses.is_dataclass(value):
+        return {("k" if f.name == "k_eps" else f.name): _json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (bool, dict)):
+        return value
+    return value.lower() if isinstance(value, str) else float(value)
 
 
 def classify_json(g: liegroup.GroupElement) -> dict:
@@ -113,13 +81,16 @@ def classify_json(g: liegroup.GroupElement) -> dict:
     }
 
 
-_OPS = {
-    "eval": element_json,
-    "iwasawa": lambda g: factors_json(decomp.iwasawa(g)),
-    "keps": lambda g: factors_json(decomp.keps_iwasawa(g)),
-    "matsuki": lambda g: factors_json(decomp.matsuki(g)),
-    "gauss": lambda g: factors_json(decomp.gauss(g)),
-    "classify": classify_json,
+# the word subcommands: name -> (help, library call on the evaluated word);
+# each call looks its function up when it runs, so a swapped module
+# attribute (a tracing wrapper, say) is the one called
+_WORD_OPS = {
+    "eval": ("evaluate a group word", lambda g: g),
+    "iwasawa": ("factor a word as k a_t n", lambda g: decomp.iwasawa(g)),
+    "keps": ("factor a word as k_eps a_t n on the open cell", lambda g: decomp.keps_iwasawa(g)),
+    "matsuki": ("two-cell factorization k_eps (c) m a_t n", lambda g: decomp.matsuki(g)),
+    "gauss": ("open-cell factorization z m a_t n", lambda g: decomp.gauss(g)),
+    "classify": ("cell and orbit labels of a word", classify_json),
 }
 
 
@@ -127,54 +98,20 @@ def _eval(word: str) -> liegroup.GroupElement:
     return wordlang.eval_word(wordlang.parse(word))
 
 
+def _word_json(op: str, word: str) -> dict:
+    value = _WORD_OPS[op][1](_eval(word))
+    # a factor record is named by the subcommand that made it
+    return {"kind": op, **_json(value)} if dataclasses.is_dataclass(value) else _json(value)
+
+
 def _record_op(op: str, word: str) -> dict:
     """Run one fixture operation, folding open-cell failures into the record."""
-    if op not in _OPS:
+    if op not in _WORD_OPS:
         raise ValueError(f"unknown fixture operation {op!r}")
     try:
-        return _OPS[op](_eval(word))
+        return _word_json(op, word)
     except (DegenerateCell, DegeneratePairing) as exc:
         return {"error": type(exc).__name__}
-
-
-# deterministic fixture plan: one operation per line, words chosen well away
-# from cell boundaries so replay is bit-stable
-_FIXTURE_PLAN: tuple[tuple[str, str], ...] = (
-    ("S1^0", "eval"),
-    ("S1^0", "iwasawa"),
-    ("S1", "eval"),
-    ("S1", "classify"),
-    ("S1", "gauss"),
-    ("S2", "classify"),
-    ("S3", "classify"),
-    ("A3(0.5;1)", "iwasawa"),
-    ("A3(0.5;1)", "eval"),
-    ("A3(-0.45;1)", "gauss"),
-    ("A1(-1.5707963267948966;1)", "keps"),
-    ("A1(-1.5707963267948966;1)", "matsuki"),
-    ("A1(-1.5707963267948966;1)", "classify"),
-    ("A1(0.3;e2)*G1(0.1e1-0.2e3)", "iwasawa"),
-    ("A1(0.3;e2)*G1(0.1e1-0.2e3)", "classify"),
-    ("G2(0.25e1)*A2(-0.4;e5)*S1", "matsuki"),
-    ("G2(0.25e1)*A2(-0.4;e5)*S1", "gauss"),
-    ("Gm1(0.2e2+0.1e4)*A3(0.35;1)", "iwasawa"),
-    ("Gm1(0.2e2+0.1e4)*A3(0.35;1)", "keps"),
-    ("D4(2,e1,e2)*G1(0.15e6)", "eval"),
-    ("D4(2,e1,e2)*G1(0.15e6)", "iwasawa"),
-    ("A2(0.5;e7)^2*Gm2(0.3e5)", "gauss"),
-    ("A2(0.5;e7)^2*Gm2(0.3e5)", "classify"),
-    ("S1*G1(0.2e1)*S1^-1", "keps"),
-    ("S1*G1(0.2e1)*S1^-1", "classify"),
-    ("A3(-0.45;1)*G2(0.12e3-0.22e6)*A1(0.2;e4)", "matsuki"),
-    ("A3(-0.45;1)*G2(0.12e3-0.22e6)*A1(0.2;e4)", "iwasawa"),
-    ("(A1(0.25;e1)*G1(0.1e2))^2", "gauss"),
-    ("(A1(0.25;e1)*G1(0.1e2))^2", "keps"),
-    ("Gm2(0.4e7)*Gm1(0.25e1)", "iwasawa"),
-    ("Gm2(0.4e7)*Gm1(0.25e1)", "classify"),
-    ("D4(1,e3,e4)*A2(0.3;e2)*G2(0.2e1)", "matsuki"),
-    ("A1(0.6;e5)*A2(-0.2;e3)*A3(0.25;1)", "gauss"),
-    ("A1(0.6;e5)*A2(-0.2;e3)*A3(0.25;1)", "eval"),
-)
 
 
 def _default_fixtures() -> Path:
@@ -213,12 +150,9 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr.reshape(27, 27)
 
 
-def _word_cmd(op: str):
-    def cmd(args) -> int:
-        print(_canon(_OPS[op](_eval(args.word))))
-        return 0
-
-    return cmd
+def _cmd_word(args) -> int:
+    print(_canon(_word_json(args.command, args.word)))
+    return 0
 
 
 def _cmd_cfunction(args) -> int:
@@ -272,21 +206,11 @@ def _max_dev(got, want, rel: bool = False) -> float | None:
     return None if None in devs else max(devs, default=0.0)
 
 
-def _cmd_selftest(args) -> int:
-    path = Path(args.fixtures) if args.fixtures else _default_fixtures()
-    if args.bless:
-        lines = [
-            _canon({"word": word, "expect": {op: _record_op(op, word)}})
-            for word, op in _FIXTURE_PLAN
-        ]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-        print(_canon({"fixtures": str(path), "written": len(lines)}))
-        return 0
+def _read_fixtures(path: Path) -> list[tuple[int, dict]]:
+    """The records of a fixtures file with their line numbers."""
     if not path.exists():
         raise ValueError(f"fixtures file not found: {path}")
-    checked = 0
-    failures = []
+    records = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -295,6 +219,26 @@ def _cmd_selftest(args) -> int:
                 and isinstance(rec.get("expect"), dict)):
             raise ValueError(f"fixtures line {lineno}: need an object with a string "
                              "'word' and an object 'expect'")
+        records.append((lineno, rec))
+    return records
+
+
+def _cmd_selftest(args) -> int:
+    path = Path(args.fixtures) if args.fixtures else _default_fixtures()
+    if args.bless:
+        # the packaged corpus is its own plan: each of its lines is recomputed
+        lines = [
+            _canon({"word": rec["word"],
+                    "expect": {op: _record_op(op, rec["word"]) for op in rec["expect"]}})
+            for _, rec in _read_fixtures(_default_fixtures())
+        ]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+        print(_canon({"fixtures": str(path), "written": len(lines)}))
+        return 0
+    checked = 0
+    failures = []
+    for lineno, rec in _read_fixtures(path):
         for op, expected in rec["expect"].items():
             checked += 1
             got = json.loads(_canon(_record_op(op, rec["word"])))
@@ -329,17 +273,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="f4decomp", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, blurb, verb in (
-        ("eval", "evaluate a group word", "evaluate"),
-        ("iwasawa", "factor a word as k a_t n", "factor"),
-        ("keps", "factor a word as k_eps a_t n on the open cell", "factor"),
-        ("matsuki", "two-cell factorization k_eps (c) m a_t n", "factor"),
-        ("gauss", "open-cell factorization z m a_t n", "factor"),
-        ("classify", "cell and orbit labels of a word", "classify"),
-    ):
+    for name, (blurb, _) in _WORD_OPS.items():
         s = sub.add_parser(name, help=blurb)
-        s.add_argument("--word", required=True, help=f"group word to {verb}")
-        s.set_defaults(func=_word_cmd(name))
+        s.add_argument("--word", required=True, help="group word")
+        s.set_defaults(func=_cmd_word)
 
     cf = sub.add_parser("cfunction", help="spectral density denominator")
     cf.add_argument(

@@ -176,7 +176,7 @@ def _log_gamma_ratio(la) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LOG_GAMMA_RATIO_RHO = complex(_log_gamma_ratio(RHO_ALPHA)[0])
-# the largest bound on its relative error at which c_gamma answers
+# the largest bound on its relative error at which c_gamma or spherical answers
 _C_GAMMA_BOUND = 1e-8
 
 
@@ -376,9 +376,11 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
     phi_lambda(t) = 2F1((22+lambda)/4, (22-lambda)/4; 8; -sinh^2 t), the
     Jacobi-function form (Koornwinder 1984). Up to t = 2 (tanh^2 t <= 0.93)
     it is summed as a power series in tanh^2 t, beyond as the connection
-    formula in sech^2 t < 0.071. The bound adds the roundoff of the summed
+    formula in sech^2 t < 0.071. Where the series' bound is not below
+    1e-8 |phi| at t <= 2, the connection formula runs too and the value with
+    the smaller bound is kept. The bound adds the roundoff of the summed
     terms or their logs, the series remainder and the log-space error of
-    the prefactor.
+    the prefactor; where it is not below |phi| this raises NonConvergent.
     """
     la = complex(lam)
     t = abs(float(t))
@@ -392,6 +394,15 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         b = (RHO_ALPHA - la) / 4.0
         expo = -2.0 * a * log_cosh
         val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, math.tanh(t) ** 2)
+        if not err < _C_GAMMA_BOUND * np.abs(val):
+            # the series cancels at large |Im lambda|, where the connection
+            # formula may not; that refuses at its poles and at small t
+            try:
+                other, other_err = _spherical_connection(np.array([la]), log_cosh)
+            except (PoleError, NonConvergent):
+                other_err = np.inf
+            if other_err < err:
+                val, err = other, other_err
     elif abs(la.imag) < 1.0 and abs(la - center) < 0.5:
         val, err = _spherical_circle(la, center, log_cosh)
     else:
@@ -399,10 +410,21 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
     val, err = complex(np.squeeze(val)), float(np.squeeze(err))
     if not cmath.isfinite(val):
         raise OverflowError(f"spherical function at lambda={la}, t={t} overflows")
+    if not err < abs(val):
+        raise NonConvergent(f"spherical function at lambda={la}, t={t}: error bound "
+                            f"{err:.3e} reaches |phi| = {abs(val):.3e}")
     return (complex(val.real) if la.imag == 0.0 else val), err
 
 
 def spherical(lam, t: float) -> complex:
-    """Spherical function at the radial point t, normalized to 1 at t = 0."""
-    val, _ = spherical_with_error(lam, t)
+    """Spherical function at the radial point t, normalized to 1 at t = 0.
+
+    Raises NonConvergent where the error bound of spherical_with_error is
+    not below 1e-8 |phi|, the bound at which c_gamma refuses.
+    """
+    val, err = spherical_with_error(lam, t)
+    if not err < _C_GAMMA_BOUND * abs(val):
+        raise NonConvergent(f"spherical function at lambda={complex(lam)}, t={t}: error bound "
+                            f"{err:.3e} reaches {_C_GAMMA_BOUND:.0e} |phi| = "
+                            f"{_C_GAMMA_BOUND * abs(val):.3e}")
     return val

@@ -6,14 +6,17 @@ hashed here. Run from the repository root as
     PYTHONPATH=src:bench python tests/parity_digest.py
 
 and, for another tree, put its `src` and `bench` on PYTHONPATH instead. It
-prints one JSON line with three digests:
+prints one JSON line with four digests:
 
 - `word_factor`: every word of `workloads.word_inputs` for seeds 1, 2 and
   107: the evaluated matrix, both cell labels, and all four factorizations;
 - `a3_sweep`: the same for `A3(t;1)`, t = -30 ... 30 in steps of 0.25;
 - `spectral`: the `spectral` fingerprint of every lambda of
   `workloads.spectral_inputs` for those seeds, and `spherical_with_error`
-  at each lambda on a grid of t.
+  at each lambda on a grid of t;
+- `cli`: stdout, stderr and exit code of `cli.main` for each word
+  subcommand on every word of the packaged fixtures and every
+  `workloads.word_inputs` word of seed 1.
 
 Arrays are hashed by their raw bytes, numbers by their `repr`, and a refusal
 by its type and message.
@@ -21,12 +24,14 @@ by its type and message.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from dataclasses import fields, is_dataclass
 
 import numpy as np
-from f4decomp import decomp, harmonic, wordlang
+from f4decomp import cli, decomp, harmonic, wordlang
 from f4decomp.liegroup import GroupElement
 from f4decomp.octonion import Octonion
 
@@ -35,6 +40,7 @@ import workloads
 SEEDS = (1, 2, 107)
 GRID_T = (0.0, 0.5, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0)
 FACTORIZATIONS = (decomp.iwasawa, decomp.keps_iwasawa, decomp.matsuki, decomp.gauss)
+WORD_SUBCOMMANDS = ("eval", "iwasawa", "keps", "matsuki", "gauss", "classify")
 
 
 def _feed(h, value) -> None:
@@ -103,9 +109,24 @@ def spectral_digest() -> str:
     return h.hexdigest()
 
 
+def cli_digest() -> str:
+    h = hashlib.sha256()
+    lines = cli._default_fixtures().read_text().splitlines()
+    words = list(dict.fromkeys(json.loads(line)["word"] for line in lines))
+    words += [item.text for item in workloads.word_inputs(np.random.default_rng(1))]
+    for word in words:
+        for op in WORD_SUBCOMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([op, "--word", word])
+            _feed(h, (word, op, out.getvalue(), err.getvalue(), code))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(json.dumps({
         "word_factor": word_factor_digest(),
         "a3_sweep": a3_sweep_digest(),
         "spectral": spectral_digest(),
+        "cli": cli_digest(),
     }))

@@ -84,6 +84,28 @@ def test_factorizations_reconstruct(capsys):
         assert np.max(np.abs(rebuilt.mat - g.mat)) <= 1e-7
 
 
+def test_factorization_records_hold_their_fields(capsys):
+    word = "A1(0.3;e2)*G1(0.1e1-0.2e3)*Gm2(0.2e5)"
+    keys = {
+        "iwasawa": {"kind", "k", "t", "n", "residual"},
+        "keps": {"kind", "k", "t", "n", "residual"},
+        "matsuki": {"kind", "cell", "w", "k", "m", "t", "n", "residual"},
+        "gauss": {"kind", "z", "m", "t", "n", "residual"},
+    }
+    for kind, want in keys.items():
+        code, out, _ = run_cli(capsys, kind, "--word", word)
+        data = parse_out(out)
+        assert code == 0 and set(data) == want and data["kind"] == kind
+        for name in {"n", "z"} & want:
+            assert set(data[name]) == {"x", "p"}
+            assert (len(data[name]["x"]), len(data[name]["p"])) == (8, 7)
+        for name in {"k", "m"} & want:
+            assert set(data[name]) == {"mat", "residual"}
+    code, out, _ = run_cli(capsys, "matsuki", "--word", word)
+    data = parse_out(out)
+    assert data["cell"] in ("open", "closed") and isinstance(data["w"], bool)
+
+
 def test_classify_pinned_example(capsys):
     code, out, _ = run_cli(capsys, "classify", "--word", "S1")
     assert code == 0
@@ -477,6 +499,27 @@ def test_malformed_fixture_line_is_one_error_line(tmp_path, capsys, line):
     }
 
 
+@pytest.mark.parametrize(
+    "text,argv,message",
+    [
+        ('{"matrix": []}', ("verify", "--matrix"),
+         "matrix JSON must be a bare list or an object with a 'mat' key"),
+        (None, ("selftest", "--fixtures"), "fixtures file not found: {path}"),
+        ('{"word": "S1", "expect": {"cartan": {}}}', ("selftest", "--fixtures"),
+         "unknown fixture operation 'cartan'"),
+    ],
+    ids=["verify-without-mat", "missing-fixtures", "unknown-fixture-op"],
+)
+def test_input_file_refusals_are_one_json_error(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": message.format(path=path)}
+
+
 def test_readme_cfunction_example(capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     (example,) = [ln for ln in readme.splitlines() if ln.startswith("f4decomp cfunction --lambda 2 ")]
@@ -498,6 +541,8 @@ def test_selftest_bless_custom_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "selftest", "--bless", "--fixtures", str(path))
     assert code == 0
     assert parse_out(out)["written"] >= 30
+    # blessing recomputes the packaged corpus's own lines, bit for bit
+    assert path.read_bytes() == cli._default_fixtures().read_bytes()
     code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
     assert code == 0 and parse_out(out)["failed"] == 0
 
@@ -513,6 +558,11 @@ def test_selftest_detects_drift(tmp_path, capsys):
     # the same record with one number perturbed reports its deviation
     code, out, _ = run_cli(capsys, "iwasawa", "--word", "A3(0.5;1)")
     expect = parse_out(out)
+    # a list of another length has no deviation either
+    short = dict(expect, n=dict(expect["n"], x=expect["n"]["x"][:-1]))
+    path.write_text(json.dumps({"word": "A3(0.5;1)", "expect": {"iwasawa": short}}) + "\n")
+    code, out, _ = run_cli(capsys, "selftest", "--fixtures", str(path))
+    assert code == 1 and parse_out(out)["failures"][0]["max_abs_dev"] is None
     expect["t"] += 1e-3
     rec = {"word": "A3(0.5;1)", "expect": {"iwasawa": expect}}
     path.write_text(json.dumps(rec) + "\n")

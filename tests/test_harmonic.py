@@ -372,6 +372,37 @@ def test_spherical_matches_jacobi_form(t):
     assert abs(ha.spherical(22.0, t) - 1.0) <= 1e-10
 
 
+def test_spherical_right_or_refused_where_the_series_cancels():
+    # at large |Im la| and t <= 2 the Pfaff series cancels; the connection
+    # formula answers where it can, and the rest is refused, never wrong
+    refused = 0
+    imag = (0, 1, 5, 10, 30, 60, 100, 300, 1000)
+    for la in [complex(re, im) for re in (0, 2, 20) for im in imag]:
+        for t in (0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+            want = jacobi_reference(la, t)
+            try:
+                got, err = ha.spherical_with_error(la, t)
+            except ha.NonConvergent:
+                pass
+            else:
+                assert abs(got - want) <= err, (la, t)
+            try:
+                got = ha.spherical(la, t)
+            except ha.NonConvergent:
+                refused += 1
+                continue
+            assert abs(got - want) <= 1e-8 * abs(want), (la, t)
+    assert refused <= 30
+    for la, t in ((5 + 100j, 2.0), (80j, 1.0)):
+        want = jacobi_reference(la, t)
+        assert abs(ha.spherical(la, t) - want) <= 1e-12 * abs(want), (la, t)
+    for la, t in ((10 + 300j, 1.0), (400 + 200j, 1.0), (1000j, 0.05)):
+        with pytest.raises(ha.NonConvergent, match="reaches 1e-08"):
+            ha.spherical(la, t)
+    got, err = ha.spherical_with_error(1000j, 0.05)
+    assert abs(got - jacobi_reference(1000j, 0.05)) <= err < abs(got)
+
+
 def test_spherical_near_lambda_3_26_at_t_3():
     # the 2-D quadrature missed its tolerance by 3.5e-6 in this window
     for la in np.linspace(3.2585, 3.2615, 7):
