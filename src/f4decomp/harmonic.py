@@ -394,7 +394,7 @@ def spherical_with_error(lam, t: float) -> tuple[complex, float]:
         b = (RHO_ALPHA - la) / 4.0
         expo = -2.0 * a * log_cosh
         val, err = _scaled_hyp2f1(expo, abs(expo), a, M_ALPHA - b, M_ALPHA, math.tanh(t) ** 2)
-        if not err < _C_GAMMA_BOUND * np.abs(val):
+        if not err < _C_GAMMA_BOUND * abs(val):
             # the series cancels at large |Im lambda|, where the connection
             # formula may not; that refuses at its poles and at small t
             try:
