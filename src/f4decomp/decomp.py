@@ -24,7 +24,7 @@ Three results are kept for the last element asked: the cells of g P_MINUS
 (_element_cells), its certified Iwasawa factorization (_graded_iwasawa) and
 its K_eps-Iwasawa (_keps_factors). Each cache is keyed by the element alone:
 an element hashes by identity, its matrix is read-only, the cache holds it,
-and the tolerances are fixed per process. Refusals are not kept.
+and the tolerances are constants. Refusals are not kept.
 
 Factor records carry the max-abs reconstruction residual. n and z are
 formed from their parameters in graded coordinates, n' = V^-1 n V exactly

@@ -261,9 +261,10 @@ def parse_octonion(text: str) -> Octonion:
 
 
 def _format_coeff(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
-    # positional notation only: 'e' would read as a basis token
+    # positional notation only: 'e' would read as a basis token; a
+    # non-finite v is written 'inf' or 'nan'
     return np.format_float_positional(v, unique=True, trim="-")
 
 
@@ -281,9 +282,9 @@ def format_octonion(x) -> str:
         else:
             body = f"e{i}" if mag == "1" else f"{mag}e{i}"
         if not parts:
-            parts.append(body if v > 0 else "-" + body)
+            parts.append("-" + body if v < 0 else body)
         else:
-            parts.append(("+" if v > 0 else "-") + body)
+            parts.append(("-" if v < 0 else "+") + body)
     if not parts:
         return "0"
     return "".join(parts)

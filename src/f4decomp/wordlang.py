@@ -91,10 +91,16 @@ _G_NAMES = {1: "G1", 2: "G2", -1: "Gm1", -2: "Gm2"}
 _STOP_RES = {stops: re.compile(f"[{re.escape(stops)}]") for stops in (";)", ")", ",)")}
 
 
+# deepest parenthesis nesting a word may have: parse, print_word and
+# eval_word recurse once per level, well inside the interpreter's stack
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, pos: int | None = None):
         raise WordSyntaxError(message, self.pos if pos is None else pos)
@@ -183,9 +189,13 @@ class _Parser:
     def parse_atom(self) -> GroupWord:
         c = self.peek()
         if c == "(":
+            if self.depth == _MAX_NESTING:
+                self.error(f"parentheses nest deeper than {_MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             inner = self.parse_word()
             self.expect(")")
+            self.depth -= 1
             return inner
         if c == "A":
             self.pos += 1

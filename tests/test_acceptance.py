@@ -269,8 +269,7 @@ def test_criterion_09_radial_spectral_functions():
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_10_cli_fixtures(capsys, tol_env):
-    tol_env(None)
+def test_criterion_10_cli_fixtures(capsys):
     assert cli.main(["selftest"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["checked"] >= 30

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DEEP_GAUSS_WORD
-from f4decomp import cli
+from f4decomp import cli, group_tol, member_tol
 from f4decomp import liegroup as lg
 from f4decomp.octonion import Octonion, format_octonion
 from f4decomp.wordlang import eval_word, parse
@@ -623,37 +623,23 @@ def test_console_script_subprocess():
     assert json.loads(proc.stdout)["bruhat"] == "closed"
 
 
-def _cli_process(*argv, tol=None):
-    """The command line in a fresh process, with F4DECOMP_TOL set to `tol`
-    or unset: the tolerance is read once per process."""
-    env = {k: v for k, v in os.environ.items() if k != "F4DECOMP_TOL"}
-    if tol is not None:
-        env["F4DECOMP_TOL"] = tol
+def _cli_process(*argv, env):
+    """The command line in a fresh process with environment `env`."""
     return subprocess.run(
         [sys.executable, "-m", "f4decomp.cli", *argv], capture_output=True, text=True, env=env
     )
 
 
-def test_invalid_tolerance_env_is_one_json_error():
-    proc = _cli_process("eval", "--word", "S1", tol="nan")
-    assert proc.returncode == 1 and proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    data = json.loads(line)
-    assert data["error"] == "ValueError"
-    assert data["message"] == "F4DECOMP_TOL must be finite and positive, got 'nan'"
-
-
-def test_tolerance_env_sets_the_process_gates():
+def test_tolerances_are_constants():
+    assert (group_tol(), member_tol()) == (1e-8, 1e-9)
     word = "A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"
-    # below the rounding of the product the word still passes its own gate,
-    # but its k_eps factor does not
-    assert _cli_process("eval", "--word", word, tol="3e-16").returncode == 0
-    for cmd in ("keps", "matsuki"):
-        proc = _cli_process(cmd, "--word", word, tol="3e-16")
-        assert proc.returncode == 2 and proc.stdout == ""
-        (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"] == "DegenerateCell"
-    loose = _cli_process("keps", "--word", word, tol="1e-6")
-    default = _cli_process("keps", "--word", word)
-    assert loose.returncode == default.returncode == 0
-    assert loose.stdout == default.stdout
+    base = {k: v for k, v in os.environ.items() if k != "F4DECOMP_TOL"}
+    # F4DECOMP_TOL is no setting: a NaN or a value below the rounding of the
+    # product changes no output byte and no exit code
+    for cmd in ("eval", "keps"):
+        runs = set()
+        for extra in ({}, {"F4DECOMP_TOL": "nan"}, {"F4DECOMP_TOL": "3e-16"}):
+            proc = _cli_process(cmd, "--word", word, env={**base, **extra})
+            runs.add((proc.stdout, proc.stderr, proc.returncode))
+        ((stdout, stderr, code),) = runs
+        assert code == 0 and stderr == "" and json.loads(stdout)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_imag, random_oct, random_unit
-from f4decomp import config, decomp, jordan
+from f4decomp import decomp, jordan
 from f4decomp import liegroup as lg
 from f4decomp import octonion as oct
 from f4decomp.jordan import (
@@ -480,26 +480,6 @@ def test_group_element_rejects_non_finite(bad):
     mat[3, 4] = bad
     with pytest.raises(lg.VerificationError):
         lg.GroupElement(mat)
-
-
-@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1e-8", "abc"])
-def test_tolerance_env_cannot_turn_gates_off(tol_env, raw):
-    tol_env(raw)
-    want = re.escape(f"F4DECOMP_TOL must be finite and positive, got '{raw}'")
-    for _ in range(2):  # the refusal is not kept as the setting
-        with pytest.raises(ValueError, match=want):
-            config.group_tol()
-    with pytest.raises(ValueError, match="F4DECOMP_TOL must be finite and positive"):
-        lg.GroupElement(lg.identity().mat)
-
-
-def test_tolerances_are_read_once_per_process(tol_env, monkeypatch):
-    tol_env("1e-6")
-    assert (config.group_tol(), config.member_tol()) == (1e-6, 1e-7)
-    monkeypatch.setenv(config.ENV_VAR, "nan")  # a change after the first read is not seen
-    assert config.group_tol() == 1e-6
-    tol_env(None)
-    assert (config.group_tol(), config.member_tol()) == (1e-8, 1e-9)
 
 
 def test_shared_constants_are_verified_and_read_only():

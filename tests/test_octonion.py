@@ -88,6 +88,29 @@ def test_format_parse_round_trip(xv):
     assert np.array_equal(back.coeffs, x.coeffs)
 
 
+@given(arrays(np.float64, (8,), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_format_parse_round_trip_every_finite_double(xv):
+    x = Octonion(xv)
+    assert np.array_equal(parse_octonion(format_octonion(x)).coeffs, x.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ([np.inf] * 8, "inf+infe1+infe2+infe3+infe4+infe5+infe6+infe7"),
+        ([np.nan, -np.nan, 0, 0, 0, 0, 0, 0], "nan+nane1"),
+        ([-np.inf, 0, np.nan, 0, 0, 0, 1.5, -np.inf], "-inf+nane2+1.5e6-infe7"),
+        ([0, -np.nan, -2, 0, 0, 0, 0, 0], "nane1-2e2"),
+    ],
+)
+def test_non_finite_coefficients_are_written(coeffs, text):
+    x = Octonion(np.array(coeffs, dtype=float))
+    assert format_octonion(x) == text
+    assert repr(x) == f"Octonion({text})"
+    h = JordanElement(np.concatenate([[np.nan, 1.0, -np.inf], coeffs, coeffs, coeffs]))
+    assert repr(h) == f"h1(nan, 1, -inf; {text}, {text}, {text})"
+
+
 # the algebra laws hold for every sign convention; the fixtures hold only
 # for this one: the Cayley-Dickson products e1 e2 = e3 and e_i e4 = e_(i+4),
 # and the seven oriented lines they give

@@ -15,6 +15,7 @@ from f4decomp.wordlang import (
     Power,
     Product,
     WordSyntaxError,
+    _MAX_NESTING,
     _Parser,
     eval_word,
     parse,
@@ -102,6 +103,18 @@ def test_scan_until_stops_at_first_delimiter(src, stops):
     while end < len(src) and src[end] not in stops:
         end += 1
     assert (seg, start, p.pos) == (src[start:end], len(src) - len(src.lstrip()), end)
+
+
+@pytest.mark.parametrize("close", [")", ")^1"])
+def test_nesting_past_the_limit_is_a_syntax_error(close):
+    word = "(" * _MAX_NESTING + "S1" + close * _MAX_NESTING
+    tree = parse(word)
+    assert parse(print_word(tree)) == tree
+    assert np.array_equal(eval_word(tree).mat, lg.sigma(1).mat)
+    assert parse(f"{word}*{word}") == Product((tree, tree))  # closing a level frees it
+    with pytest.raises(WordSyntaxError, match=f"nest deeper than {_MAX_NESTING}") as err:
+        parse("(" + word + close)
+    assert err.value.pos == _MAX_NESTING
 
 
 def test_missing_semicolon_message():
