@@ -12,7 +12,7 @@ The package is organized bottom-up:
     cli        the command line front end (entry point: f4decomp)
 """
 
-from .config import group_tol, member_tol
+from .config import GROUP_TOL, MEMBER_TOL
 from .decomp import (
     DegenerateCell,
     DegeneratePairing,
@@ -77,11 +77,13 @@ __all__ = [
     "E1",
     "E2",
     "E3",
+    "GROUP_TOL",
     "GaussFactors",
     "GroupElement",
     "IwasawaFactors",
     "JordanElement",
     "KEpsFactors",
+    "MEMBER_TOL",
     "MatsukiFactors",
     "NParams",
     "NonConvergent",
@@ -107,7 +109,6 @@ __all__ = [
     "gauss",
     "gen_A",
     "gen_G",
-    "group_tol",
     "identity",
     "inner",
     "iwasawa",
@@ -115,7 +116,6 @@ __all__ = [
     "killing",
     "matsuki",
     "matsuki_classify",
-    "member_tol",
     "parse",
     "parse_octonion",
     "print_word",

@@ -133,7 +133,10 @@ def _parse_lambda(text: str) -> complex:
 
 def _load_matrix(path: str) -> np.ndarray:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix JSON nests too deeply") from None
     if isinstance(data, dict):
         if "mat" not in data:
             raise ValueError("matrix JSON must be a bare list or an object with a 'mat' key")
@@ -214,7 +217,10 @@ def _read_fixtures(path: Path) -> list[tuple[int, dict]]:
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"fixtures line {lineno}: JSON nests too deeply") from None
         if not (isinstance(rec, dict) and isinstance(rec.get("word"), str)
                 and isinstance(rec.get("expect"), dict)):
             raise ValueError(f"fixtures line {lineno}: need an object with a string "

@@ -1,6 +1,7 @@
 """Numerical tolerances.
 
-Two constants drive every pass/fail decision in the package:
+Two constants drive every pass/fail decision in the package, and each is
+read by its name:
 
 * GROUP_TOL   -- automorphism verification and reconstruction residuals
 * MEMBER_TOL  -- orbit membership predicates and cell-boundary tests,
@@ -11,11 +12,3 @@ Neither is settable.
 
 GROUP_TOL = 1e-8
 MEMBER_TOL = GROUP_TOL / 10
-
-
-def group_tol() -> float:
-    return GROUP_TOL
-
-
-def member_tol() -> float:
-    return MEMBER_TOL

@@ -33,10 +33,10 @@ closed-form route the tests compare gauss against, keeps the public exp_N.
 Every cell and orbit decision is one cell test, _cells(X), on X = g P_MINUS
 or a ray representative: (X|E2) decides the Matsuki cell and the K_eps-orbit,
 (X|reflected), for the reflected null vector h1(-1,1,0;0,0,-1), the Bruhat
-cell and the N^- orbit, each closed where |value| <= member_tol |X|. One
+cell and the N^- orbit, each closed where |value| <= MEMBER_TOL |X|. One
 certificate per factorization, _certify, checks that the k, k_eps or m
 factor fixes its targets and that the product reconstructs g, both at one
-gate, group_tol * max(1, |g|_2^2), which g decides itself: its
+gate, GROUP_TOL * max(1, |g|_2^2), which g decides itself: its
 `passes_gate` tries each test, monotone in the gate, at a lower bound from
 g's largest squared column, and at the SVD gate only where that fails.
 keps_iwasawa's a-priori bound likewise reads |g|_2 off the SVD only where
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jordan
-from .config import group_tol, member_tol
+from .config import GROUP_TOL, MEMBER_TOL
 from .jordan import (
     E1,
     E2,
@@ -247,8 +247,8 @@ class _Cells(NamedTuple):
 def _cells(X: np.ndarray) -> _Cells:
     """The one cell test: (X|E2) decides the Matsuki cell and the K_eps-orbit,
     (X|reflected) the Bruhat cell and the N^- orbit, each closed at
-    |value| <= member_tol |X|."""
-    return _Cells(float(X[1]), float(X @ _REFLECTED), member_tol() * float(np.linalg.norm(X)))
+    |value| <= MEMBER_TOL |X|."""
+    return _Cells(float(X[1]), float(X @ _REFLECTED), MEMBER_TOL * float(np.linalg.norm(X)))
 
 
 @lru_cache(maxsize=1)
@@ -278,7 +278,7 @@ def n_pair(X: JordanElement) -> NParams:
     c = _V_INV @ X.vec
     r = -2.0 * c[26]
     pair = 2.0 * r
-    if abs(pair) <= member_tol() * max(1.0, X.norm()):
+    if abs(pair) <= MEMBER_TOL * max(1.0, X.norm()):
         raise DegeneratePairing(f"(P_MINUS|X) = {pair:.3e} is below tolerance")
     return NParams(Octonion(c[18:26] / r), Octonion.from_imag7(c[11:18] / pair))
 
@@ -290,7 +290,7 @@ def nx_closed_form(X: JordanElement) -> JordanElement:
     whenever X is rank one.
     """
     pair = inner(P_MINUS, X)
-    if abs(pair) <= member_tol() * max(1.0, X.norm()):
+    if abs(pair) <= MEMBER_TOL * max(1.0, X.norm()):
         raise DegeneratePairing(f"(P_MINUS|X) = {pair:.3e} is below tolerance")
     tr = jordan.trace(X)
     vec = (
@@ -461,8 +461,8 @@ def matsuki(g: GroupElement) -> MatsukiFactors:
             cell="Open", k_eps=f.k_eps, w=False, m=identity(), t=f.t, n=f.n, residual=f.residual
         )
 
-    # the shape tolerance member_tol max(1, |Y|)
-    xhat = _closed_cell_direction(JordanElement(Y), max(member_tol(), cells.tol))
+    # the shape tolerance MEMBER_TOL max(1, |Y|)
+    xhat = _closed_cell_direction(JordanElement(Y), max(MEMBER_TOL, cells.tol))
     k_eps = d4_rotate(2, Octonion.one(), xhat)
     c = closed_cell_rep().mat
     k, a, n, t, params, _ = _graded_iwasawa(g)
@@ -565,7 +565,7 @@ def z_of_X(X: JordanElement) -> NParams:
     z = exp_N(-1, params.x, params.p)
     val = inner(X, SIGMA_P_MINUS)
     dev = float(np.max(np.abs(z.mat @ X.vec - 0.25 * val * P_MINUS.vec)))
-    if dev > member_tol() * max(1.0, X.norm()):
+    if dev > MEMBER_TOL * max(1.0, X.norm()):
         # the factor entries are quartic in the parameters, so rounding noise
         # alone reaches eps * |params|^4; past that the ray is effectively on
         # the reflected boundary
@@ -587,7 +587,7 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
     and verified once, on return.
     """
     Xh = ray_rep(X)
-    # (Xh|E1) = -1, so |Xh| >= 1 and the tolerance is at least member_tol
+    # (Xh|E1) = -1, so |Xh| >= 1 and the tolerance is at least MEMBER_TOL
     cells = _cells(Xh.vec)
     val, tol = cells.keps, cells.tol
     if cells.closed(val):
@@ -623,7 +623,7 @@ def flag_classify_keps(X: JordanElement) -> tuple[str, GroupElement]:
         label, witness, target = "P12orbit", rot @ boost, p_hat * P_MINUS.vec
 
     dev = float(np.max(np.abs(witness @ Xh.vec - target)))
-    if dev > group_tol() * max(1.0, Xh.norm()):
+    if dev > GROUP_TOL * max(1.0, Xh.norm()):
         raise VerificationError(f"witness postcondition residual {dev:.3e}")
     return label, GroupElement(witness)
 
@@ -645,4 +645,4 @@ def stabilizer_flag(g: GroupElement) -> bool:
     if s <= 0.0:
         return False
     dev = float(np.linalg.norm(Y - s * P_MINUS.vec))
-    return dev <= group_tol() * max(1.0, float(np.linalg.norm(Y)))
+    return dev <= GROUP_TOL * max(1.0, float(np.linalg.norm(Y)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import octonion as oct
-from .config import member_tol
+from .config import MEMBER_TOL
 from .octonion import Octonion
 
 __all__ = [
@@ -291,15 +291,14 @@ class OrbitMembership:
 def classify(X: JordanElement) -> OrbitMembership:
     """Orbit membership with scale-normalized tolerances.
 
-    The quadratic test uses tol * max(1, |X|^2), linear tests
-    tol * max(1, |X|). The two trace-one sheets are separated by the
+    The quadratic test uses MEMBER_TOL * max(1, |X|^2), linear tests
+    MEMBER_TOL * max(1, |X|). The two trace-one sheets are separated by the
     pairing with E1, which is >= 1 on one and <= 0 on the other, so the
     midpoint 1/2 is a robust separator.
     """
-    tol = member_tol()
     nrm = X.norm()
-    qtol = tol * max(1.0, nrm * nrm)
-    ltol = tol * max(1.0, nrm)
+    qtol = MEMBER_TOL * max(1.0, nrm * nrm)
+    ltol = MEMBER_TOL * max(1.0, nrm)
     rank_one = cross_square(X).norm() <= qtol and nrm > ltol
     tr = trace(X)
     pair1 = inner(X, E1)

@@ -34,9 +34,11 @@ Closed-form constructions:
   the squared norms 26 and 96, with no solver.
 
 Every GroupElement has passed `verify` under the gate
-group_tol() * max(1, |m|_2^2): its constructor checks the automorphism
-property on all basis pairs and refuses non-finite matrices. The element
-decides its own gate, `passes_gate`: a test is tried first on
+GROUP_TOL * max(1, |m|_2^2) of `config`: its constructor checks the
+automorphism property on all basis pairs and refuses non-finite matrices,
+reading the entries only where the residual is not finite, since every
+entry enters the product rule. The element decides its own gate,
+`passes_gate`: a test is tried first on
 `_gate_floor`, a lower bound from the largest squared column norm, and at
 the SVD norm only where that bound does not pass, so it decides as the SVD
 gate would; `decomp` certifies its factors through the same method, and
@@ -71,7 +73,7 @@ import numpy as np
 
 from . import jordan
 from . import octonion as oct
-from .config import group_tol
+from .config import GROUP_TOL
 from .jordan import E3, E, F, JordanElement, P_MINUS
 
 __all__ = [
@@ -218,13 +220,15 @@ class GroupElement:
 
     def __init__(self, mat):
         arr = np.array(mat, dtype=float, order="C")
-        if not np.isfinite(arr).all():
-            raise VerificationError("matrix has non-finite entries")
         # entries near the float range overflow inside the check; that is
         # reported as a failed gate, not as floating-point warnings
         with np.errstate(over="ignore", invalid="ignore"):
             residual = verify(arr)
             col_sq = float(np.einsum("ij,ij->j", arr, arr).max())
+        # every entry enters the product rule, so a finite residual means
+        # finite entries and only a non-finite one needs the entries read
+        if not math.isfinite(residual) and not np.isfinite(arr).all():
+            raise VerificationError("matrix has non-finite entries")
         arr.setflags(write=False)
         self.mat = arr
         self.residual = residual
@@ -234,18 +238,17 @@ class GroupElement:
             raise VerificationError(f"automorphism residual {residual:.3e} too large")
 
     def passes_gate(self, test: Callable[[float], bool]) -> bool:
-        """test(gate) at the gate group_tol() * max(1, |g|_2^2), for a test
+        """test(gate) at the gate GROUP_TOL * max(1, |g|_2^2), for a test
         monotone in the gate: at `_gate_floor` first, and at the SVD gate
         only where that fails, so it decides as the SVD gate does. The
         product check is quadratic in the matrix, hence the square; a
         squared norm that is not finite raises VerificationError."""
-        tol = group_tol()
-        if test(_gate_floor(self._col_sq, tol)):
+        if test(_gate_floor(self._col_sq, GROUP_TOL)):
             return True
         norm_sq = self.opnorm * self.opnorm
         if not math.isfinite(norm_sq):
             raise VerificationError(f"squared operator norm {norm_sq} is not finite")
-        return test(tol * max(1.0, norm_sq))
+        return test(GROUP_TOL * max(1.0, norm_sq))
 
     @property
     def opnorm(self) -> float:
@@ -673,7 +676,7 @@ def killing(phi: AlgebraElement, psi: AlgebraElement) -> float:
 
 def stabilizer_check(g: GroupElement, targets: list[JordanElement]) -> bool:
     """True iff g fixes every target within the group tolerance."""
-    return _fixes(g.mat, targets, group_tol())
+    return _fixes(g.mat, targets, GROUP_TOL)
 
 
 def _fixes(mat: np.ndarray, targets: list[JordanElement], tol: float) -> bool:
@@ -790,7 +793,7 @@ def _d4_generator(j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _d4_reaches(k: np.ndarray, src: np.ndarray, want: np.ndarray, scale: float) -> None:
     # the postcondition of both routes: k maps F(j, u) to F(j, v)
-    if _norm(k @ src - want) > group_tol() * scale:
+    if _norm(k @ src - want) > GROUP_TOL * scale:
         raise RotationError("rotation solve failed to reach the target")
 
 

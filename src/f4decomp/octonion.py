@@ -18,22 +18,23 @@ and the last three lines follow from these by the same rule. Components
 Octonions are non-associative but alternative; conjugation negates e1..e7
 and is an anti-homomorphism; the norm is multiplicative. All of these are
 exercised by the property tests rather than assumed.
+
+Each operation has one spelling. On an `Octonion` x: x * y, x + y, x - y,
+-x, x / s, x.conj(), x.re(), x.im(), x.norm_sq() and x.norm(); the
+Euclidean pairing (x|y) = re(x conj(y)) is x.coeffs @ y.coeffs. On plain
+coefficient arrays: `mul_batch` (row-wise products), `conj_vec`, and the
+8x8 matrices `left_mul_matrix` and `right_mul_matrix` of y -> a y and
+x -> x a.
 """
 
 from __future__ import annotations
 
-import re as _re
+import re
 
 import numpy as np
 
 __all__ = [
     "Octonion",
-    "mul",
-    "conj",
-    "re",
-    "im",
-    "inner",
-    "norm_sq",
     "conj_vec",
     "mul_batch",
     "left_mul_matrix",
@@ -199,33 +200,6 @@ def _coerce(x) -> np.ndarray:
     return arr
 
 
-def mul(x, y) -> Octonion:
-    return Octonion(mul_batch(_coerce(x), _coerce(y)))
-
-
-def conj(x) -> Octonion:
-    return Octonion(conj_vec(_coerce(x)))
-
-
-def re(x) -> float:
-    return float(_coerce(x)[0])
-
-
-def im(x) -> Octonion:
-    v = _coerce(x).copy()
-    v[0] = 0.0
-    return Octonion(v)
-
-
-def inner(x, y) -> float:
-    """Euclidean pairing (x|y); coincides with re(x * conj(y))."""
-    return float(_coerce(x) @ _coerce(y))
-
-
-def norm_sq(x) -> float:
-    return inner(x, x)
-
-
 # Octonion literals, shared with the word DSL. A literal is a signed sum of
 # terms `coeff`, `ek`, or `coeff ek` with k in 1..7, e.g. "1+2e3-0.5e7".
 # Coefficients are plain decimals; exponent notation is unavailable because
@@ -233,7 +207,7 @@ def norm_sq(x) -> float:
 
 # One term per match: sign, coefficient, basis token, then the whitespace
 # after the term, so a match ends where the next term starts.
-_TERM_RE = _re.compile(
+_TERM_RE = re.compile(
     r"\s*([+-])?\s*"
     r"(?:(\d+\.\d*|\.\d+|\d+)(?:\s*\*?\s*)?)?"
     r"(e[1-7])?\s*"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DEEP_GAUSS_WORD
-from f4decomp import cli, group_tol, member_tol
+from f4decomp import GROUP_TOL, MEMBER_TOL, cli
 from f4decomp import liegroup as lg
 from f4decomp.octonion import Octonion, format_octonion
 from f4decomp.wordlang import eval_word, parse
@@ -520,6 +520,25 @@ def test_input_file_refusals_are_one_json_error(tmp_path, capsys, text, argv, me
     assert json.loads(line) == {"error": "ValueError", "message": message.format(path=path)}
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(("verify", "--matrix", "-"), "matrix JSON nests too deeply"),
+     (("selftest", "--fixtures", "{path}"), "fixtures line 1: JSON nests too deeply")],
+    ids=["verify-stdin", "selftest-fixtures"],
+)
+def test_deeply_nested_json_is_one_json_error(monkeypatch, tmp_path, capsys, argv, message):
+    # json's decoder recurses once per bracket; past the interpreter's
+    # limit the input is refused as malformed, not as a RecursionError
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep + "\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": message}
+
+
 def test_readme_cfunction_example(capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     (example,) = [ln for ln in readme.splitlines() if ln.startswith("f4decomp cfunction --lambda 2 ")]
@@ -631,7 +650,7 @@ def _cli_process(*argv, env):
 
 
 def test_tolerances_are_constants():
-    assert (group_tol(), member_tol()) == (1e-8, 1e-9)
+    assert (GROUP_TOL, MEMBER_TOL) == (1e-8, 1e-9)
     word = "A3(0.3;1)*G1(0.2e1-0.1e3)*A1(0.2;e2)"
     base = {k: v for k, v in os.environ.items() if k != "F4DECOMP_TOL"}
     # F4DECOMP_TOL is no setting: a NaN or a value below the rounding of the

@@ -179,14 +179,14 @@ def g1_by_columns(xv):
     zero = JordanElement(np.zeros(27))
     images = [zero]
     for j in range(8):
-        images.append(2 * oct.inner(xv, Octonion.unit(j).coeffs) * P_MINUS)
+        images.append(2 * float(xv @ Octonion.unit(j).coeffs) * P_MINUS)
     images += [Qplus(-1 * x), Qplus(x)]
     for j in range(1, 8):
         images.append(Qplus(-1 * (Octonion.unit(j) * x)))
     for j in range(8):
         y = Octonion.unit(j)
         imxy = (x * y.conj()).im()
-        images.append(2 * oct.inner(xv, y.coeffs) * (E - 3 * E3) + F(3, 2 * imxy))
+        images.append(2 * float(xv @ y.coeffs) * (E - 3 * E3) + F(3, 2 * imxy))
     images.append(Qminus(2 * x))
     return _cols_to_matrix(images)
 
@@ -196,7 +196,7 @@ def g2_by_columns(pv):
     zero = JordanElement(np.zeros(27))
     images = [zero] * 11
     for j in range(1, 8):
-        images.append(-2 * oct.inner(pv, Octonion.unit(j).coeffs) * P_MINUS)
+        images.append(-2 * float(pv @ Octonion.unit(j).coeffs) * P_MINUS)
     for j in range(8):
         images.append(Qplus(-2 * (p * Octonion.unit(j))))
     images.append(F(3, 4 * p))
@@ -394,7 +394,7 @@ def svd_gate_accepts(mat):
         residual = lg.verify(mat)
         norm = float(np.linalg.norm(mat, 2))
     norm_sq = norm * norm
-    return math.isfinite(norm_sq) and residual < lg.group_tol() * max(1.0, norm_sq)
+    return math.isfinite(norm_sq) and residual < lg.GROUP_TOL * max(1.0, norm_sq)
 
 
 def accepts(mat):
@@ -435,10 +435,10 @@ def test_opnorm_is_the_svd_norm_computed_once(monkeypatch):
     norm_sq = float(np.linalg.norm(base, 2)) ** 2
     # a residual between tol * col_sq and tol * |g|_2^2: only the SVD passes it
     d = 1e-3
-    while lg.verify((1 + d) * base) >= lg.group_tol() * norm_sq:
+    while lg.verify((1 + d) * base) >= lg.GROUP_TOL * norm_sq:
         d /= 1.01
     between = (1 + d) * base
-    assert lg.verify(between) >= lg.group_tol() * col_sq
+    assert lg.verify(between) >= lg.GROUP_TOL * col_sq
     calls = []
     real = np.linalg.norm
     monkeypatch.setattr(
@@ -476,9 +476,25 @@ def test_algebra_element_has_no_check_switch():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_group_element_rejects_non_finite(bad):
-    mat = np.eye(27)
-    mat[3, 4] = bad
-    with pytest.raises(lg.VerificationError):
+    # the entries are read only where the residual is not finite: a
+    # non-finite value at any of the 729 entries makes it so
+    for k in range(27 * 27):
+        mat = np.eye(27)
+        mat.flat[k] = bad
+        with pytest.raises(lg.VerificationError, match="^matrix has non-finite entries$"):
+            lg.GroupElement(mat)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [1e300 * np.eye(27), -1e300 * np.eye(27), np.full((27, 27), 1e300),
+     np.where(np.eye(27, k=1) > 0, 1e300, np.eye(27))],
+    ids=["scaled", "negated", "full", "superdiagonal"],
+)
+def test_group_element_near_the_float_range_keeps_its_refusal(mat):
+    # finite entries whose residual overflows are refused by the gate, not
+    # as non-finite entries
+    with pytest.raises(lg.VerificationError, match="^squared operator norm inf is not finite$"):
         lg.GroupElement(mat)
 
 
